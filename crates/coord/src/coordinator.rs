@@ -28,7 +28,7 @@
 //! submissions carrying a dead incarnation's epoch are fenced off with
 //! [`Response::Stale`] instead of racing the recovered round.
 
-use std::io::{ErrorKind, Read};
+use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,12 +39,12 @@ use fnas::checkpoint::SearchCheckpoint;
 use fnas::search::SearchConfig;
 use fnas::{FnasError, Result};
 use fnas_exec::SearchTelemetry;
+use fnas_store::bytes::checksum;
 
 use crate::clock::Clock;
-use crate::framing::{read_frame, write_frame};
 use crate::journal::{self, Journal, WalRecord};
 use crate::lease::{LeasePolicy, LeaseTable};
-use crate::proto::{config_fingerprint, Request, Response};
+use crate::proto::{answer, config_fingerprint, Request, Response};
 use crate::rounds::{accumulate, init_for_round, merge_settled};
 
 /// Scheduling knobs of a coordinated run.
@@ -260,7 +260,7 @@ impl Coordinator {
                     continue;
                 }
                 if let Some(bytes) = journal.load_spill(round, shard) {
-                    if bytes.len() as u64 == len && journal::checksum(&bytes) == sum {
+                    if bytes.len() as u64 == len && checksum(&bytes) == sum {
                         by_shard[shard as usize] = Some(bytes);
                     }
                 }
@@ -630,7 +630,7 @@ impl Coordinator {
         let merged = merge_settled(&done)?;
         let merged_round = state.round;
         if state.journal.is_some() {
-            let checksum = journal::checksum(&merged.to_bytes());
+            let checksum = checksum(&merged.to_bytes());
             self.journal_append(
                 state,
                 WalRecord::RoundMerged {
@@ -736,24 +736,8 @@ impl Coordinator {
         }
     }
 
-    fn handle_connection(&self, mut stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-        let response = match read_frame(&mut stream).and_then(|b| Request::from_bytes(&b)) {
-            Ok(request) => self.handle_with_admission(&request),
-            Err(e) => Response::Error {
-                what: e.to_string(),
-            },
-        };
-        let _ = write_frame(&mut stream, &response.to_bytes());
-        // Wait for the peer's close before ours so the TIME_WAIT state
-        // lands on the client's ephemeral port, not on our listen port.
-        // Otherwise every answered request parks a server-side TIME_WAIT
-        // entry that blocks a restarted coordinator from rebinding the
-        // same address for up to a minute — exactly the window a
-        // journaled restart (DESIGN.md §15) needs to reopen. Bounded by
-        // the read timeout above if the peer lingers.
-        let _ = stream.read(&mut [0u8; 1]);
+    fn handle_connection(&self, stream: TcpStream) {
+        answer(stream, |request| self.handle_with_admission(request));
     }
 }
 

@@ -8,7 +8,7 @@
 //! [`crate::proto`] — is plain `io::Read`/`io::Write`, so the same codec
 //! serves `TcpStream` in production and `Vec<u8>` cursors in tests.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
 use fnas::FnasError;
 
@@ -19,6 +19,10 @@ pub const MAGIC: [u8; 4] = *b"FNC1";
 /// runs are a few hundred KiB; anything near the cap is an error, not a
 /// workload.
 pub const MAX_FRAME: u32 = 64 << 20;
+
+/// Payload bytes reserved before any arrive; beyond this the buffer grows
+/// with the bytes received.
+const PREALLOC: usize = 64 << 10;
 
 fn corrupt(what: &str) -> FnasError {
     FnasError::InvalidConfig {
@@ -54,7 +58,8 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> fnas::Result<()> {
 /// # Errors
 ///
 /// [`FnasError::InvalidConfig`] on a bad magic or an oversized length;
-/// I/O errors (including EOF) from the underlying stream.
+/// I/O errors (including EOF before the declared length) from the
+/// underlying stream.
 pub fn read_frame<R: Read>(r: &mut R) -> fnas::Result<Vec<u8>> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -71,8 +76,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> fnas::Result<Vec<u8>> {
             "declared payload of {len} bytes exceeds the {MAX_FRAME}-byte cap"
         )));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Memory grows with the bytes that actually arrive, not with the
+    // declared length: a header alone cannot make us reserve 64 MiB.
+    let mut payload = Vec::with_capacity((len as usize).min(PREALLOC));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     Ok(payload)
 }
 

@@ -19,12 +19,13 @@
 //! truncates the dirty tail so post-restart appends extend the clean
 //! prefix instead of hiding behind garbage.
 //!
-//! **Write discipline.** Spill files are published with the same fsync'd
-//! tmp+rename as `fnas_store` records (readers see absent or complete,
-//! never partial); WAL records are appended and fsync'd, and a shard's
-//! spill is published *before* its `ShardSettled` record, so a record in
-//! the clean prefix implies its spill exists (absent disk corruption,
-//! which degrades to a re-run).
+//! **Write discipline.** WAL records and spill files are both
+//! `fnas_store::bytes` frames. Spill files are published with
+//! `fnas_store::bytes::publish_atomic`, like store records (readers see
+//! absent or complete, never partial); WAL records are appended and
+//! fsync'd, and a shard's spill is published *before* its `ShardSettled`
+//! record, so a record in the clean prefix implies its spill exists
+//! (absent disk corruption, which degrades to a re-run).
 //!
 //! **Epoch fencing.** Each coordinator incarnation appends an
 //! [`WalRecord::EpochStarted`] whose epoch is the count of prior
@@ -37,13 +38,15 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
+pub use fnas_store::bytes::TMP_PREFIX;
+use fnas_store::bytes::{
+    checksum, decode, frame, frame_prefix, publish_atomic, unframe, DecodeError, Writer,
+};
+use fnas_store::disk::sorted_entries;
+
 /// Magic prefix of every WAL record and spill file; the trailing digit
 /// is the framing version.
 pub const WAL_MAGIC: [u8; 8] = *b"FNASWAL1";
-
-/// Prefix of in-flight temporary spill files; anything starting with
-/// this is an abandoned partial write and may be deleted at any time.
-pub const TMP_PREFIX: &str = ".tmp-";
 
 const KIND_EPOCH_STARTED: u8 = 1;
 const KIND_ROUND_STARTED: u8 = 2;
@@ -52,9 +55,11 @@ const KIND_ROUND_MERGED: u8 = 4;
 const KIND_FINISHED: u8 = 5;
 const KIND_SPILL: u8 = 6;
 
-/// Fixed overhead of one WAL record beyond its payload bytes:
-/// magic + kind + epoch + round + shard + payload length + checksum.
-pub const RECORD_OVERHEAD: usize = WAL_MAGIC.len() + 1 + 8 + 8 + 4 + 4 + 8;
+/// Frame header of a WAL record: kind, epoch, round, shard.
+const RECORD_HEADER: usize = 1 + 8 + 8 + 4;
+
+/// Frame header of a spill file: kind, round, shard.
+const SPILL_HEADER: usize = 1 + 8 + 4;
 
 /// One committed coordinator state transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,13 +114,25 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    fn kind(&self) -> u8 {
-        match self {
-            WalRecord::EpochStarted { .. } => KIND_EPOCH_STARTED,
-            WalRecord::RoundStarted { .. } => KIND_ROUND_STARTED,
-            WalRecord::ShardSettled { .. } => KIND_SHARD_SETTLED,
-            WalRecord::RoundMerged { .. } => KIND_ROUND_MERGED,
-            WalRecord::Finished { .. } => KIND_FINISHED,
+    /// The frame fields besides the epoch: kind, round, shard and the
+    /// payload words. Kinds leave the header fields they do not use zero.
+    fn parts(&self) -> (u8, u64, u32, Vec<u64>) {
+        match *self {
+            WalRecord::EpochStarted {
+                fingerprint, job, ..
+            } => (KIND_EPOCH_STARTED, 0, 0, vec![fingerprint, job]),
+            WalRecord::RoundStarted { round, .. } => (KIND_ROUND_STARTED, round, 0, vec![]),
+            WalRecord::ShardSettled {
+                round,
+                shard,
+                len,
+                checksum,
+                ..
+            } => (KIND_SHARD_SETTLED, round, shard, vec![len, checksum]),
+            WalRecord::RoundMerged {
+                round, checksum, ..
+            } => (KIND_ROUND_MERGED, round, 0, vec![checksum]),
+            WalRecord::Finished { .. } => (KIND_FINISHED, 0, 0, vec![]),
         }
     }
 
@@ -133,96 +150,56 @@ impl WalRecord {
 
 /// Frames one record into its on-disk bytes.
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let (round, shard, payload): (u64, u32, Vec<u8>) = match *record {
-        WalRecord::EpochStarted {
-            fingerprint, job, ..
-        } => {
-            let mut p = Vec::with_capacity(16);
-            p.extend_from_slice(&fingerprint.to_le_bytes());
-            p.extend_from_slice(&job.to_le_bytes());
-            (0, 0, p)
-        }
-        WalRecord::RoundStarted { round, .. } => (round, 0, Vec::new()),
-        WalRecord::ShardSettled {
-            round,
-            shard,
-            len,
-            checksum,
-            ..
-        } => {
-            let mut p = Vec::with_capacity(16);
-            p.extend_from_slice(&len.to_le_bytes());
-            p.extend_from_slice(&checksum.to_le_bytes());
-            (round, shard, p)
-        }
-        WalRecord::RoundMerged {
-            round, checksum, ..
-        } => (round, 0, checksum.to_le_bytes().to_vec()),
-        WalRecord::Finished { .. } => (0, 0, Vec::new()),
-    };
-    let mut out = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
-    out.extend_from_slice(&WAL_MAGIC);
-    out.push(record.kind());
-    out.extend_from_slice(&record.epoch().to_le_bytes());
-    out.extend_from_slice(&round.to_le_bytes());
-    out.extend_from_slice(&shard.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(&out).to_le_bytes());
-    out
+    let (kind, round, shard, words) = record.parts();
+    let mut header = Writer::with_capacity(RECORD_HEADER);
+    header.u8(kind);
+    header.u64(record.epoch());
+    header.u64(round);
+    header.u32(shard);
+    let mut payload = Writer::with_capacity(8 * words.len());
+    for word in words {
+        payload.u64(word);
+    }
+    frame(&WAL_MAGIC, &header.into_bytes(), &payload.into_bytes())
 }
 
 /// Decodes one record at the start of `bytes`, returning it and the
 /// number of bytes consumed. Total: any defect — short buffer, bad
-/// magic, unknown kind, payload length mismatched to the kind, checksum
-/// failure — yields `None`, never an error.
+/// magic, unknown kind, payload length mismatched to the kind, a header
+/// field the kind does not use left nonzero, checksum failure — yields
+/// `None`, never an error.
 pub fn decode_record(bytes: &[u8]) -> Option<(WalRecord, usize)> {
-    if bytes.len() < RECORD_OVERHEAD {
-        return None;
-    }
-    if bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return None;
-    }
-    let at = WAL_MAGIC.len();
-    let kind = bytes[at];
-    let epoch = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().ok()?);
-    let round = u64::from_le_bytes(bytes[at + 9..at + 17].try_into().ok()?);
-    let shard = u32::from_le_bytes(bytes[at + 17..at + 21].try_into().ok()?);
-    let payload_len = u32::from_le_bytes(bytes[at + 21..at + 25].try_into().ok()?) as usize;
-    let total = RECORD_OVERHEAD.checked_add(payload_len)?;
-    if bytes.len() < total {
-        return None;
-    }
-    let payload = &bytes[at + 25..at + 25 + payload_len];
-    let body = &bytes[..total - 8];
-    let stored = u64::from_le_bytes(bytes[total - 8..total].try_into().ok()?);
-    if checksum(body) != stored {
-        return None;
-    }
-    let le_u64 = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
-    let record = match (kind, payload_len) {
-        (KIND_EPOCH_STARTED, 16) => WalRecord::EpochStarted {
-            epoch,
-            fingerprint: le_u64(&payload[..8]),
-            job: le_u64(&payload[8..]),
-        },
-        (KIND_ROUND_STARTED, 0) => WalRecord::RoundStarted { epoch, round },
-        (KIND_SHARD_SETTLED, 16) => WalRecord::ShardSettled {
-            epoch,
-            round,
-            shard,
-            len: le_u64(&payload[..8]),
-            checksum: le_u64(&payload[8..]),
-        },
-        (KIND_ROUND_MERGED, 8) => WalRecord::RoundMerged {
-            epoch,
-            round,
-            checksum: le_u64(payload),
-        },
-        (KIND_FINISHED, 0) => WalRecord::Finished { epoch },
-        _ => return None,
-    };
-    Some((record, total))
+    let ((header, payload), used) = frame_prefix(bytes, &WAL_MAGIC, RECORD_HEADER)?;
+    let (kind, epoch, round, shard) =
+        decode(header, |h| Ok((h.u8()?, h.u64()?, h.u64()?, h.u32()?))).ok()?;
+    let record = decode(payload, |p| {
+        Ok(match kind {
+            KIND_EPOCH_STARTED => WalRecord::EpochStarted {
+                epoch,
+                fingerprint: p.u64()?,
+                job: p.u64()?,
+            },
+            KIND_ROUND_STARTED => WalRecord::RoundStarted { epoch, round },
+            KIND_SHARD_SETTLED => WalRecord::ShardSettled {
+                epoch,
+                round,
+                shard,
+                len: p.u64()?,
+                checksum: p.u64()?,
+            },
+            KIND_ROUND_MERGED => WalRecord::RoundMerged {
+                epoch,
+                round,
+                checksum: p.u64()?,
+            },
+            KIND_FINISHED => WalRecord::Finished { epoch },
+            tag => return Err(DecodeError::Tag { what: "kind", tag }),
+        })
+    })
+    .ok()?;
+    // Canonical bytes only: header fields the kind leaves unused are zero.
+    let (_, canonical_round, canonical_shard, _) = record.parts();
+    ((canonical_round, canonical_shard) == (round, shard)).then_some((record, used))
 }
 
 /// Decodes a WAL byte stream as the longest clean prefix of records,
@@ -238,55 +215,26 @@ pub fn decode_journal(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
     (records, at)
 }
 
+/// The frame header of the spill file for `(round, shard)`.
+fn spill_header(round: u64, shard: u32) -> Vec<u8> {
+    let mut header = Writer::with_capacity(SPILL_HEADER);
+    header.u8(KIND_SPILL);
+    header.u64(round);
+    header.u32(shard);
+    header.into_bytes()
+}
+
 /// Frames settled shard bytes into a self-validating spill file.
 pub fn encode_spill(round: u64, shard: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(WAL_MAGIC.len() + 1 + 8 + 4 + 4 + payload.len() + 8);
-    out.extend_from_slice(&WAL_MAGIC);
-    out.push(KIND_SPILL);
-    out.extend_from_slice(&round.to_le_bytes());
-    out.extend_from_slice(&shard.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum(&out).to_le_bytes());
-    out
+    frame(&WAL_MAGIC, &spill_header(round, shard), payload)
 }
 
 /// Unframes a spill file written for `(round, shard)`, returning the
 /// settled checkpoint bytes. Total: any defect or an embedded
 /// round/shard mismatch yields `None` (the shard is simply unsettled).
 pub fn decode_spill(bytes: &[u8], round: u64, shard: u32) -> Option<Vec<u8>> {
-    const HEADER: usize = 8 + 1 + 8 + 4 + 4;
-    if bytes.len() < HEADER + 8 {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    if checksum(body) != u64::from_le_bytes(tail.try_into().ok()?) {
-        return None;
-    }
-    if body[..WAL_MAGIC.len()] != WAL_MAGIC || body[WAL_MAGIC.len()] != KIND_SPILL {
-        return None;
-    }
-    let at = WAL_MAGIC.len() + 1;
-    if u64::from_le_bytes(body[at..at + 8].try_into().ok()?) != round
-        || u32::from_le_bytes(body[at + 8..at + 12].try_into().ok()?) != shard
-    {
-        return None;
-    }
-    let len = u32::from_le_bytes(body[at + 12..at + 16].try_into().ok()?) as usize;
-    let payload = &body[HEADER..];
-    if payload.len() != len {
-        return None;
-    }
-    Some(payload.to_vec())
-}
-
-/// FNV-1a 64-bit checksum (same construction as `fnas_store::record`).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    let (header, payload) = unframe(bytes, &WAL_MAGIC, SPILL_HEADER)?;
+    (header == spill_header(round, shard)).then(|| payload.to_vec())
 }
 
 /// The WAL-visible run state, folded from a clean record prefix.
@@ -417,7 +365,6 @@ impl JournalVerifyReport {
 pub struct Journal {
     dir: PathBuf,
     wal: File,
-    tmp_counter: u64,
 }
 
 impl Journal {
@@ -434,11 +381,7 @@ impl Journal {
         let dir = dir.into();
         fs::create_dir_all(dir.join("shards"))?;
         let path = wal_path(&dir);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
+        let bytes = read_wal(&dir)?;
         let (records, clean_len) = decode_journal(&bytes);
         if clean_len < bytes.len() {
             let f = OpenOptions::new().write(true).open(&path)?;
@@ -446,14 +389,7 @@ impl Journal {
             f.sync_all()?;
         }
         let wal = OpenOptions::new().append(true).create(true).open(&path)?;
-        Ok((
-            Journal {
-                dir,
-                wal,
-                tmp_counter: 0,
-            },
-            records,
-        ))
+        Ok((Journal { dir, wal }, records))
     }
 
     /// The journal's root directory.
@@ -479,7 +415,7 @@ impl Journal {
     }
 
     /// Publishes settled shard bytes to the spill file for
-    /// `(round, shard)` via fsync'd tmp+rename, returning the payload
+    /// `(round, shard)` via [`publish_atomic`], returning the payload
     /// checksum to record in the matching [`WalRecord::ShardSettled`].
     /// Overwrites unconditionally — re-settlements are byte-identical
     /// by the determinism contract, and overwriting self-heals a spill
@@ -489,23 +425,10 @@ impl Journal {
     ///
     /// I/O errors from the write, fsync, or rename.
     pub fn spill_shard(&mut self, round: u64, shard: u32, bytes: &[u8]) -> io::Result<u64> {
-        let path = self.spill_path(round, shard);
-        let framed = encode_spill(round, shard, bytes);
-        let unique = self.tmp_counter;
-        self.tmp_counter += 1;
-        let tmp = path
-            .parent()
-            .expect("spill path has a parent")
-            .join(format!("{TMP_PREFIX}{}-{unique}", std::process::id()));
-        let mut file = File::create(&tmp)?;
-        file.write_all(&framed)?;
-        file.sync_all()?;
-        drop(file);
-        let published = fs::rename(&tmp, &path);
-        if published.is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
-        published?;
+        publish_atomic(
+            &self.spill_path(round, shard),
+            &encode_spill(round, shard, bytes),
+        )?;
         Ok(checksum(bytes))
     }
 
@@ -619,20 +542,13 @@ fn is_tmp(path: &Path) -> bool {
 
 /// `(path, len)` of every entry under `<dir>/shards`, sorted by path.
 fn spill_entries(dir: &Path) -> io::Result<Vec<(PathBuf, u64)>> {
-    let shards = dir.join("shards");
-    let mut entries: Vec<(PathBuf, u64)> = match fs::read_dir(&shards) {
-        Ok(iter) => iter
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let len = e.metadata().ok()?.len();
-                Some((e.path(), len))
-            })
-            .collect(),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    entries.sort();
-    Ok(entries)
+    Ok(sorted_entries(&dir.join("shards"))?
+        .into_iter()
+        .filter_map(|path| {
+            let len = fs::symlink_metadata(&path).ok()?.len();
+            Some((path, len))
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -969,20 +885,15 @@ mod tests {
             prop_assert_eq!(decode_record(&bytes), Some((record, bytes.len())));
         }
 
-        /// Distinct records frame to distinct bytes (injectivity), and a
-        /// concatenated stream decodes back to the exact sequence.
+        /// A concatenated stream decodes back to the exact sequence.
         #[test]
-        fn prop_framing_is_injective_over_streams(
-            a in proptest::collection::vec(arb_record(), 0..6),
-            b in proptest::collection::vec(arb_record(), 0..6),
+        fn prop_streams_decode_to_their_records(
+            records in proptest::collection::vec(arb_record(), 0..6),
         ) {
-            let enc = |rs: &[WalRecord]| {
-                rs.iter().flat_map(encode_record).collect::<Vec<u8>>()
-            };
-            let (got_a, clean_a) = decode_journal(&enc(&a));
-            prop_assert_eq!(&got_a, &a);
-            prop_assert_eq!(clean_a, enc(&a).len());
-            prop_assert_eq!(enc(&a) == enc(&b), a == b);
+            let stream: Vec<u8> = records.iter().flat_map(encode_record).collect();
+            let (got, clean) = decode_journal(&stream);
+            prop_assert_eq!(&got, &records);
+            prop_assert_eq!(clean, stream.len());
         }
 
         /// Every byte-prefix of a valid stream decodes to a record

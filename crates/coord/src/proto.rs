@@ -23,10 +23,10 @@
 //!   deliberately *excluded*: results are bit-identical for any worker
 //!   count, so heterogeneous machines may cooperate on one run.
 //!
-//! Payload encoding is the same hand-rolled little-endian style as the
+//! Payloads are encoded with the `fnas_store::bytes` cursors, like the
 //! checkpoint codec: `u32`/`u64` LE, strings as `u32` length + UTF-8,
-//! byte blobs as `u32` length + bytes, one leading tag byte per message
-//! variant.
+//! byte blobs as `u32` length + bytes, bools as one 0/1 byte, one leading
+//! tag byte per message variant.
 //!
 //! Beyond the worker verbs, the protocol carries two more surfaces
 //! (DESIGN.md §18):
@@ -41,10 +41,23 @@
 //!   [`Request::WatchProgress`], spoken by `fnas-serve` clients to
 //!   submit and observe jobs multiplexed over one shared fleet.
 
+use std::io::Read as _;
+use std::net::TcpStream;
+use std::time::Duration;
+
 use fnas::search::{SearchConfig, SearchMode};
 use fnas::FnasError;
+use fnas_store::bytes::{decode, mix64, DecodeError, Reader, Writer};
 
-fn corrupt(what: &str) -> FnasError {
+use crate::framing::{read_frame, write_frame};
+
+/// Maps a payload decode failure into the protocol's error texts.
+fn corrupt(e: DecodeError) -> FnasError {
+    let what = match e {
+        DecodeError::Truncated => "message truncated".to_string(),
+        DecodeError::Trailing => "trailing bytes after message".to_string(),
+        e => e.to_string(),
+    };
     FnasError::InvalidConfig {
         what: format!("coord proto: {what}"),
     }
@@ -286,19 +299,13 @@ pub const JOB_STATE_FINISHED: u8 = 1;
 pub const JOB_STATE_CANCELLED: u8 = 2;
 
 /// Digest of the config knobs that determine results, folded with the
-/// same SplitMix64-style avalanche the seed tree uses. Two processes
+/// SplitMix64 step ([`mix64`]) the seed tree uses. Two processes
 /// agree on the fingerprint iff they would produce byte-identical
 /// checkpoints for the same shard — which is why evaluation worker count
 /// is excluded and batch size is included.
 pub fn config_fingerprint(config: &SearchConfig, batch: usize, shards: u32, rounds: u64) -> u64 {
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let mut h = mix(u64::from_le_bytes(*b"FNASCORD"));
-    let mut fold = |v: u64| h = mix(h ^ v);
+    let mut h = mix64(u64::from_le_bytes(*b"FNASCORD"));
+    let mut fold = |v: u64| h = mix64(h ^ v);
     fold(config.seed());
     fold(config.preset().trials() as u64);
     fold(batch as u64);
@@ -316,68 +323,6 @@ pub fn config_fingerprint(config: &SearchConfig, batch: usize, shards: u32, roun
         fold(u64::from(b));
     }
     h
-}
-
-struct Writer(Vec<u8>);
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.0.extend_from_slice(b);
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> fnas::Result<&'a [u8]> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| corrupt("message truncated"))?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> fnas::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> fnas::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> fnas::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn bytes(&mut self) -> fnas::Result<Vec<u8>> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-    fn str(&mut self) -> fnas::Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| corrupt("string is not UTF-8"))
-    }
-    fn done(&self) -> fnas::Result<()> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(corrupt("trailing bytes after message"))
-        }
-    }
 }
 
 const TAG_POLL: u8 = 1;
@@ -406,7 +351,7 @@ const TAG_CANCELLED: u8 = 22;
 impl Request {
     /// Serialises the request to one frame payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer(Vec::new());
+        let mut w = Writer::default();
         match self {
             Request::Poll {
                 worker,
@@ -482,7 +427,7 @@ impl Request {
                 w.u64(*job);
             }
         }
-        w.0
+        w.into_bytes()
     }
 
     /// Parses one frame payload.
@@ -492,52 +437,52 @@ impl Request {
     /// [`FnasError::InvalidConfig`] on unknown tags, truncation or
     /// trailing bytes.
     pub fn from_bytes(buf: &[u8]) -> fnas::Result<Self> {
-        let mut r = Reader { buf, at: 0 };
-        let msg = match r.u8()? {
-            TAG_POLL => Request::Poll {
-                worker: r.str()?,
-                job: r.u64()?,
-                fingerprint: r.u64()?,
-            },
-            TAG_HEARTBEAT => Request::Heartbeat {
-                worker: r.str()?,
-                round: r.u64()?,
-                shard: r.u32()?,
-                epoch: r.u64()?,
-                job: r.u64()?,
-                fingerprint: r.u64()?,
-            },
-            TAG_SUBMIT => Request::Submit {
-                worker: r.str()?,
-                round: r.u64()?,
-                shard: r.u32()?,
-                epoch: r.u64()?,
-                job: r.u64()?,
-                fingerprint: r.u64()?,
-                bytes: r.bytes()?,
-            },
-            TAG_POLL_ANY => Request::PollAny { worker: r.str()? },
-            TAG_SUBMIT_JOB => Request::SubmitJob {
-                spec: r.bytes()?,
-                batch: r.u32()?,
-                shards: r.u32()?,
-                rounds: r.u64()?,
-            },
-            TAG_JOB_STATUS => Request::JobStatus { job: r.u64()? },
-            TAG_LIST_JOBS => Request::ListJobs,
-            TAG_CANCEL_JOB => Request::CancelJob { job: r.u64()? },
-            TAG_WATCH_PROGRESS => Request::WatchProgress { job: r.u64()? },
-            tag => return Err(corrupt(&format!("unknown request tag {tag}"))),
-        };
-        r.done()?;
-        Ok(msg)
+        decode(buf, |r| {
+            Ok(match r.u8()? {
+                TAG_POLL => Request::Poll {
+                    worker: string(r)?,
+                    job: r.u64()?,
+                    fingerprint: r.u64()?,
+                },
+                TAG_HEARTBEAT => Request::Heartbeat {
+                    worker: string(r)?,
+                    round: r.u64()?,
+                    shard: r.u32()?,
+                    epoch: r.u64()?,
+                    job: r.u64()?,
+                    fingerprint: r.u64()?,
+                },
+                TAG_SUBMIT => Request::Submit {
+                    worker: string(r)?,
+                    round: r.u64()?,
+                    shard: r.u32()?,
+                    epoch: r.u64()?,
+                    job: r.u64()?,
+                    fingerprint: r.u64()?,
+                    bytes: r.bytes()?.to_vec(),
+                },
+                TAG_POLL_ANY => Request::PollAny { worker: string(r)? },
+                TAG_SUBMIT_JOB => Request::SubmitJob {
+                    spec: r.bytes()?.to_vec(),
+                    batch: r.u32()?,
+                    shards: r.u32()?,
+                    rounds: r.u64()?,
+                },
+                TAG_JOB_STATUS => Request::JobStatus { job: r.u64()? },
+                TAG_LIST_JOBS => Request::ListJobs,
+                TAG_CANCEL_JOB => Request::CancelJob { job: r.u64()? },
+                TAG_WATCH_PROGRESS => Request::WatchProgress { job: r.u64()? },
+                tag => return Err(DecodeError::Invalid(format!("unknown request tag {tag}"))),
+            })
+        })
+        .map_err(corrupt)
     }
 }
 
 impl Response {
     /// Serialises the response to one frame payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer(Vec::new());
+        let mut w = Writer::default();
         match self {
             Response::Assign {
                 round,
@@ -570,11 +515,11 @@ impl Response {
             Response::Finished => w.u8(TAG_FINISHED),
             Response::Ack { still_yours } => {
                 w.u8(TAG_ACK);
-                w.u8(u8::from(*still_yours));
+                w.bool(*still_yours);
             }
             Response::Accepted { fresh } => {
                 w.u8(TAG_ACCEPTED);
-                w.u8(u8::from(*fresh));
+                w.bool(*fresh);
             }
             Response::Error { what } => {
                 w.u8(TAG_ERROR);
@@ -619,7 +564,7 @@ impl Response {
                 w.u64(*job);
             }
         }
-        w.0
+        w.into_bytes()
     }
 
     /// Parses one frame payload.
@@ -629,56 +574,92 @@ impl Response {
     /// [`FnasError::InvalidConfig`] on unknown tags, truncation or
     /// trailing bytes.
     pub fn from_bytes(buf: &[u8]) -> fnas::Result<Self> {
-        let mut r = Reader { buf, at: 0 };
-        let msg = match r.u8()? {
-            TAG_ASSIGN => Response::Assign {
-                round: r.u64()?,
-                shard: r.u32()?,
-                shard_count: r.u32()?,
-                lease_ms: r.u64()?,
-                epoch: r.u64()?,
-                job: r.u64()?,
-                spec: r.bytes()?,
-                batch: r.u32()?,
-                rounds: r.u64()?,
-                init: r.bytes()?,
-            },
-            TAG_WAIT => Response::Wait {
-                backoff_ms: r.u64()?,
-            },
-            TAG_FINISHED => Response::Finished,
-            TAG_ACK => Response::Ack {
-                still_yours: r.u8()? != 0,
-            },
-            TAG_ACCEPTED => Response::Accepted {
-                fresh: r.u8()? != 0,
-            },
-            TAG_ERROR => Response::Error { what: r.str()? },
-            TAG_RETRY => Response::Retry {
-                backoff_ms: r.u64()?,
-            },
-            TAG_STALE => Response::Stale { epoch: r.u64()? },
-            TAG_WRONG_JOB => Response::WrongJob { job: r.u64()? },
-            TAG_JOB_ACCEPTED => Response::JobAccepted { job: r.u64()? },
-            TAG_JOB_INFO => Response::JobInfo {
-                job: r.u64()?,
-                state: r.u8()?,
-                progress: r.bytes()?,
-            },
-            TAG_JOBS => {
-                let count = r.u32()? as usize;
-                let mut jobs = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    jobs.push((r.u64()?, r.u8()?));
+        decode(buf, |r| {
+            Ok(match r.u8()? {
+                TAG_ASSIGN => Response::Assign {
+                    round: r.u64()?,
+                    shard: r.u32()?,
+                    shard_count: r.u32()?,
+                    lease_ms: r.u64()?,
+                    epoch: r.u64()?,
+                    job: r.u64()?,
+                    spec: r.bytes()?.to_vec(),
+                    batch: r.u32()?,
+                    rounds: r.u64()?,
+                    init: r.bytes()?.to_vec(),
+                },
+                TAG_WAIT => Response::Wait {
+                    backoff_ms: r.u64()?,
+                },
+                TAG_FINISHED => Response::Finished,
+                TAG_ACK => Response::Ack {
+                    still_yours: r.bool()?,
+                },
+                TAG_ACCEPTED => Response::Accepted { fresh: r.bool()? },
+                TAG_ERROR => Response::Error { what: string(r)? },
+                TAG_RETRY => Response::Retry {
+                    backoff_ms: r.u64()?,
+                },
+                TAG_STALE => Response::Stale { epoch: r.u64()? },
+                TAG_WRONG_JOB => Response::WrongJob { job: r.u64()? },
+                TAG_JOB_ACCEPTED => Response::JobAccepted { job: r.u64()? },
+                TAG_JOB_INFO => Response::JobInfo {
+                    job: r.u64()?,
+                    state: r.u8()?,
+                    progress: r.bytes()?.to_vec(),
+                },
+                TAG_JOBS => {
+                    let n = r.count32(8 + 1)?;
+                    Response::Jobs {
+                        jobs: r.vec(n, |r| Ok((r.u64()?, r.u8()?)))?,
+                    }
                 }
-                Response::Jobs { jobs }
-            }
-            TAG_CANCELLED => Response::Cancelled { job: r.u64()? },
-            tag => return Err(corrupt(&format!("unknown response tag {tag}"))),
-        };
-        r.done()?;
-        Ok(msg)
+                TAG_CANCELLED => Response::Cancelled { job: r.u64()? },
+                tag => return Err(DecodeError::Invalid(format!("unknown response tag {tag}"))),
+            })
+        })
+        .map_err(corrupt)
     }
+}
+
+/// Timeout on every read and write of one exchange.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The client half of one exchange: connects to `addr`, sends `request`
+/// as one frame and reads the one response frame.
+///
+/// # Errors
+///
+/// I/O errors from the connection, or an undecodable response.
+pub fn call(addr: &str, request: &Request) -> fnas::Result<Response> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    write_frame(&mut stream, &request.to_bytes())?;
+    Response::from_bytes(&read_frame(&mut stream)?)
+}
+
+/// The server half of one exchange: reads one request frame from
+/// `stream`, answers it with `handle` (an unreadable request with
+/// [`Response::Error`]), then waits for the peer to close first, so
+/// TIME_WAIT lands on the client's port and a restarted coordinator can
+/// rebind its address at once (DESIGN.md §15).
+pub fn answer(mut stream: TcpStream, handle: impl FnOnce(&Request) -> Response) {
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let response = match read_frame(&mut stream).and_then(|b| Request::from_bytes(&b)) {
+        Ok(request) => handle(&request),
+        Err(e) => Response::Error {
+            what: e.to_string(),
+        },
+    };
+    let _ = write_frame(&mut stream, &response.to_bytes());
+    let _ = stream.read(&mut [0u8; 1]);
+}
+
+/// A length-prefixed UTF-8 string, owned.
+fn string(r: &mut Reader<'_>) -> Result<String, DecodeError> {
+    r.str().map(str::to_string)
 }
 
 #[cfg(test)]
@@ -808,18 +789,12 @@ mod tests {
 }
 
 /// Property tests over the full protocol surface — every request and
-/// response tag, worker verbs and serve verbs alike — extending the
-/// journal codec proptests (DESIGN.md §16) to the wire protocol. Two
-/// properties per direction:
-///
-/// 1. **Framed round-trip.** Any message survives
-///    encode → [`crate::framing::write_frame`] →
-///    [`crate::framing::read_frame`] → decode bit-exactly. This is the
-///    exact path a `TcpStream` sees; a `Vec<u8>` cursor stands in.
-/// 2. **Injectivity.** Two messages encode to the same bytes iff they
-///    are equal — no two distinct requests (or responses) can ever be
-///    confused on the wire, which is what makes the job-digest and
-///    fingerprint fences trustworthy.
+/// response tag, worker verbs and serve verbs alike: any message
+/// survives encode → [`crate::framing::write_frame`] →
+/// [`crate::framing::read_frame`] → decode bit-exactly. This is the exact
+/// path a `TcpStream` sees; a `Vec<u8>` cursor stands in. The generic
+/// codec property in `tests/codec_properties.rs` adds canonical
+/// re-encoding (which implies injectivity) and mutation totality.
 #[cfg(test)]
 mod proptests {
     use super::*;
@@ -967,14 +942,5 @@ mod proptests {
             prop_assert_eq!(Response::from_bytes(&payload).unwrap(), m);
         }
 
-        #[test]
-        fn prop_request_encoding_is_injective(a in arb_request(), b in arb_request()) {
-            prop_assert_eq!(a.to_bytes() == b.to_bytes(), a == b);
-        }
-
-        #[test]
-        fn prop_response_encoding_is_injective(a in arb_response(), b in arb_response()) {
-            prop_assert_eq!(a.to_bytes() == b.to_bytes(), a == b);
-        }
     }
 }

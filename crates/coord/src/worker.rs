@@ -24,7 +24,6 @@
 //!   fingerprint itself — so one fleet serves many jobs, and the
 //!   `WrongJob`/`Stale` fences still police every submission.
 
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,8 +34,7 @@ use fnas::job::JobSpec;
 use fnas::search::{BatchOptions, SearchConfig, ShardSpec};
 use fnas::{FnasError, Result};
 
-use crate::framing::{read_frame, write_frame};
-use crate::proto::{config_fingerprint, Request, Response};
+use crate::proto::{call, config_fingerprint, Request, Response};
 use crate::rounds::{run_round_shard_stored, shard_file};
 
 /// How a worker finds and talks to its coordinator.
@@ -137,15 +135,6 @@ impl RetryMeter {
     }
 }
 
-/// One request–response exchange on a fresh connection, attempted once.
-fn exchange(opts: &WorkerOptions, req: &Request) -> Result<Response> {
-    let mut stream = TcpStream::connect(&opts.addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    write_frame(&mut stream, &req.to_bytes())?;
-    Response::from_bytes(&read_frame(&mut stream)?)
-}
-
 /// One request–response exchange, retried under the worker's budget.
 ///
 /// The *whole* exchange retries, not just the connect: a coordinator
@@ -165,7 +154,7 @@ fn request(opts: &WorkerOptions, meter: &RetryMeter, req: &Request) -> Result<Re
             meter.note_sleep(backoff);
             backoff = backoff.saturating_mul(2).min(MAX_RETRY_BACKOFF_MS);
         }
-        match exchange(opts, req) {
+        match call(&opts.addr, req) {
             Ok(response) => return Ok(response),
             Err(e @ FnasError::Io(_)) => last = Some(e),
             Err(e) => return Err(e),

@@ -16,17 +16,15 @@
 //! * **wall times and cache counters** — they describe work performed by a
 //!   particular process, not logical search progress.
 //!
-//! The format is a little-endian binary codec written by hand: the build
-//! environment has no registry access, so `serde` is not an option, and a
-//! fixed self-describing layout (magic, version, length-prefixed arrays)
-//! is easy to keep stable. All floating-point state is stored as raw IEEE
-//! bits, so `NaN` payloads and signed zeros survive the round trip
-//! exactly. Writes go through a temporary file in the same directory
-//! followed by an atomic rename, so a crash mid-write leaves the previous
-//! checkpoint intact.
+//! The format is a little-endian binary codec on the workspace's byte
+//! layer ([`fnas_store::bytes`]): a fixed self-describing layout (magic,
+//! version, length-prefixed arrays) that is easy to keep stable. Only the
+//! current [`VERSION`] loads. All floating-point state is stored as raw
+//! IEEE bits, so `NaN` payloads and signed zeros survive the round trip
+//! exactly. Writes go through [`fnas_store::bytes::publish_atomic`], so a
+//! crash mid-write leaves the previous checkpoint intact.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 use fnas_controller::arch::{ChildArch, LayerChoice};
@@ -34,6 +32,7 @@ use fnas_controller::reinforce::TrainerState;
 use fnas_exec::TelemetrySnapshot;
 use fnas_fpga::Millis;
 use fnas_nn::optim::AdamState;
+use fnas_store::bytes::{publish_atomic, DecodeError, Reader, Writer};
 
 use crate::cost::SearchCost;
 use crate::job::JobSpec;
@@ -43,20 +42,16 @@ use crate::{FnasError, Result};
 /// File magic: identifies FNAS checkpoints regardless of extension.
 pub const MAGIC: &[u8; 8] = b"FNASCKPT";
 
-/// Current format version; bumped on any layout change.
+/// Format version, bumped on any layout change; only this version loads.
 ///
 /// * **v1** — the original snapshot layout.
 /// * **v2** — inserts a shard header (`shard_index`, `shard_count`,
-///   `parent_seed`) between the version word and the run seed. v1
-///   snapshots still load, as shard 0-of-1 with `parent_seed` equal to
-///   their own run seed.
+///   `parent_seed`) between the version word and the run seed.
 /// * **v3** — extends the shard header with a `round` counter for
-///   iterated synchronous (merge → re-init → continue) searches. v1/v2
-///   snapshots still load, as round 0.
+///   iterated synchronous (merge → re-init → continue) searches.
 /// * **v4** — appends a length-prefixed canonical [`JobSpec`] after the
 ///   round counter, so every snapshot names the job it belongs to
-///   (DESIGN.md §17). v1–v3 snapshots still load, as the pinned default
-///   job ([`JobSpec::default`]).
+///   (DESIGN.md §17).
 pub const VERSION: u32 = 4;
 
 /// Everything needed to continue a batched search bit-identically.
@@ -77,17 +72,16 @@ pub struct SearchCheckpoint {
     /// The *parent* run's seed — shared by every shard of one sharded run
     /// (each shard's own `run_seed` is derived from it via
     /// [`fnas_exec::derive_shard_seed`]). Equal to `run_seed` for
-    /// unsharded runs and v1 snapshots.
+    /// unsharded runs.
     pub parent_seed: u64,
     /// Which synchronous round of an iterated (merge → re-init → continue)
-    /// search this snapshot belongs to. `0` for one-shot runs and for
-    /// every v1/v2 snapshot; within a round, each shard's seed tree hangs
-    /// off [`fnas_exec::derive_round_seed`]`(parent, round)`.
+    /// search this snapshot belongs to. `0` for one-shot runs; within a
+    /// round, each shard's seed tree hangs off
+    /// [`fnas_exec::derive_round_seed`]`(parent, round)`.
     pub round: u64,
-    /// The job this snapshot belongs to (v4; DESIGN.md §17). Snapshots
-    /// written before jobs existed (v1–v3) load as [`JobSpec::default`],
-    /// the pinned historical spec. Merging validates job agreement, and
-    /// `fnas-ckpt diff` flags cross-job comparisons loudly.
+    /// The job this snapshot belongs to (DESIGN.md §17). Merging
+    /// validates job agreement, and `fnas-ckpt diff` flags cross-job
+    /// comparisons loudly.
     pub job: JobSpec,
     /// The run's config seed; resume refuses a mismatched config.
     pub run_seed: u64,
@@ -112,23 +106,23 @@ impl SearchCheckpoint {
     /// Serialises the checkpoint to its binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::default();
-        w.bytes(MAGIC);
+        w.raw(MAGIC);
         w.u32(VERSION);
-        // v2 shard header, extended with the v3 round counter.
+        // Shard header, extended with the round counter.
         w.u32(self.shard_index);
         w.u32(self.shard_count);
         w.u64(self.parent_seed);
         w.u64(self.round);
-        // v4 job header: length-prefixed canonical JobSpec encoding.
+        // Job header: length-prefixed canonical JobSpec encoding.
         let job = self.job.encode();
         w.u64(job.len() as u64);
-        w.bytes(&job);
+        w.raw(&job);
         w.u64(self.run_seed);
         w.u64(self.next_episode);
         for s in self.rng_state {
             w.u64(s);
         }
-        w.opt_f32(self.baseline);
+        w.opt(self.baseline, Writer::f32);
         w.f64(self.cost.training_seconds);
         w.f64(self.cost.analyzer_seconds);
         // Trainer.
@@ -139,19 +133,12 @@ impl SearchCheckpoint {
         w.u64(self.trainer.optimizer.t);
         w.u64(self.trainer.optimizer.moments.len() as u64);
         for slot in &self.trainer.optimizer.moments {
-            match slot {
-                None => w.u8(0),
-                Some((m, v)) => {
-                    w.u8(1);
-                    w.u64(m.len() as u64);
-                    for &x in m {
-                        w.f32(x);
-                    }
-                    for &x in v {
-                        w.f32(x);
-                    }
+            w.opt(slot.as_ref(), |w, (m, v)| {
+                w.u64(m.len() as u64);
+                for &x in m.iter().chain(v) {
+                    w.f32(x);
                 }
-            }
+            });
         }
         w.u64(self.trainer.updates);
         // Logical telemetry counters.
@@ -180,97 +167,74 @@ impl SearchCheckpoint {
                 w.u32(l.filter_size as u32);
                 w.u32(l.num_filters as u32);
             }
-            w.opt_f64(trial.latency.map(|l| l.get()));
-            w.opt_f32(trial.accuracy);
+            w.opt(trial.latency.map(|l| l.get()), Writer::f64);
+            w.opt(trial.accuracy, Writer::f32);
             w.f32(trial.reward);
-            w.u8(u8::from(trial.trained));
+            w.bool(trial.trained);
         }
-        w.buf
+        w.into_bytes()
     }
 
     /// Deserialises a checkpoint from its binary format.
     ///
     /// # Errors
     ///
-    /// Returns [`FnasError::InvalidConfig`] on a wrong magic, an unknown
-    /// version, or a truncated/corrupt payload.
+    /// Returns [`FnasError::InvalidConfig`] on a wrong magic, a version
+    /// other than [`VERSION`], or a truncated/corrupt payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let magic = r.bytes(MAGIC.len())?;
-        if magic != MAGIC {
-            return Err(corrupt("not an FNAS checkpoint (bad magic)"));
+        Self::decode(&mut Reader::new(bytes)).map_err(|e| corrupt(&e.to_string()))
+    }
+
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, DecodeError> {
+        if r.raw(MAGIC.len())? != MAGIC {
+            return Err(DecodeError::Invalid(
+                "not an FNAS checkpoint (bad magic)".into(),
+            ));
         }
         let version = r.u32()?;
-        if version == 0 || version > VERSION {
-            return Err(corrupt(&format!(
-                "unsupported checkpoint version {version} (this build reads 1..={VERSION})"
+        if version != VERSION {
+            return Err(DecodeError::Invalid(format!(
+                "unsupported checkpoint version {version} (this build reads {VERSION})"
             )));
         }
-        // v1 snapshots predate sharding: they load as shard 0-of-1 with
-        // parent_seed mirroring their own run seed (set below). v1/v2
-        // snapshots predate rounds: they load as round 0.
-        let (shard_index, shard_count, parent_seed) = if version >= 2 {
-            (r.u32()?, r.u32()?, Some(r.u64()?))
-        } else {
-            (0, 1, None)
-        };
-        let round = if version >= 3 { r.u64()? } else { 0 };
-        // v4 job header; pre-job snapshots load as the pinned default.
-        let job = if version >= 4 {
-            let n = r.len()?;
-            JobSpec::decode(r.bytes(n)?)
-                .ok_or_else(|| corrupt("job header does not decode as a canonical JobSpec"))?
-        } else {
-            JobSpec::default()
-        };
+        let (shard_index, shard_count) = (r.u32()?, r.u32()?);
+        let parent_seed = r.u64()?;
+        let round = r.u64()?;
+        let job_len = r.count64(1)?;
+        let job = JobSpec::decode(r.raw(job_len)?).ok_or_else(|| {
+            DecodeError::Invalid("job header does not decode as a canonical JobSpec".into())
+        })?;
         if shard_count == 0 || shard_index >= shard_count {
-            return Err(corrupt(&format!(
+            return Err(DecodeError::Invalid(format!(
                 "implausible shard header {shard_index}/{shard_count}"
             )));
         }
         let run_seed = r.u64()?;
-        let parent_seed = parent_seed.unwrap_or(run_seed);
         let next_episode = r.u64()?;
         let mut rng_state = [0u64; 4];
         for s in &mut rng_state {
             *s = r.u64()?;
         }
-        let baseline = r.opt_f32()?;
+        let baseline = r.opt(Reader::f32)?;
         let cost = SearchCost {
             training_seconds: r.f64()?,
             analyzer_seconds: r.f64()?,
         };
-        let n_params = r.len()?;
-        let mut params = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            params.push(r.f32()?);
-        }
+        let n = r.count64(4)?;
+        let params = r.vec(n, Reader::f32)?;
         let t = r.u64()?;
-        let n_moments = r.len()?;
-        let mut moments = Vec::with_capacity(n_moments);
-        for _ in 0..n_moments {
-            moments.push(match r.u8()? {
-                0 => None,
-                1 => {
-                    let n = r.len()?;
-                    let mut m = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        m.push(r.f32()?);
-                    }
-                    let mut v = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        v.push(r.f32()?);
-                    }
-                    Some((m, v))
-                }
-                tag => return Err(corrupt(&format!("bad moment tag {tag}"))),
-            });
-        }
-        let updates = r.u64()?;
+        let n = r.count64(1)?;
+        let moments = r.vec(n, |r| {
+            if !r.tag("moment")? {
+                return Ok(None);
+            }
+            let n = r.count64(8)?;
+            Ok(Some((r.vec(n, Reader::f32)?, r.vec(n, Reader::f32)?)))
+        })?;
         let trainer = TrainerState {
             params,
             optimizer: AdamState { t, moments },
-            updates,
+            updates: r.u64()?,
         };
         let telemetry = TelemetrySnapshot {
             children_sampled: r.u64()?,
@@ -286,31 +250,34 @@ impl SearchCheckpoint {
             train_calls: r.u64()?,
             ..TelemetrySnapshot::default()
         };
-        let n_trials = r.len()?;
-        let mut trials = Vec::with_capacity(n_trials);
-        for _ in 0..n_trials {
+        // A trial encodes to at least its index, layer count, two option
+        // tags, reward and trained flag.
+        let n = r.count64(8 + 8 + 1 + 1 + 4 + 1)?;
+        let trials = r.vec(n, |r| {
             let index = r.u64()? as usize;
-            let n_layers = r.len()?;
-            let mut layers = Vec::with_capacity(n_layers);
-            for _ in 0..n_layers {
-                layers.push(LayerChoice {
+            let n = r.count64(8)?;
+            let layers = r.vec(n, |r| {
+                Ok(LayerChoice {
                     filter_size: r.u32()? as usize,
                     num_filters: r.u32()? as usize,
-                });
-            }
-            let arch = ChildArch::new(layers)
-                .map_err(|e| corrupt(&format!("checkpointed architecture is invalid: {e}")))?;
-            trials.push(TrialRecord {
+                })
+            })?;
+            let arch = ChildArch::new(layers).map_err(|e| {
+                DecodeError::Invalid(format!("checkpointed architecture is invalid: {e}"))
+            })?;
+            Ok(TrialRecord {
                 index,
                 arch,
-                latency: r.opt_f64()?.map(Millis::new),
-                accuracy: r.opt_f32()?,
+                latency: r.opt(Reader::f64)?.map(Millis::new),
+                accuracy: r.opt(Reader::f32)?,
                 reward: r.f32()?,
-                trained: r.u8()? != 0,
-            });
-        }
-        if !r.at_end() {
-            return Err(corrupt("trailing bytes after checkpoint payload"));
+                trained: r.bool()?,
+            })
+        })?;
+        if r.remaining() > 0 {
+            return Err(DecodeError::Invalid(
+                "trailing bytes after checkpoint payload".into(),
+            ));
         }
         Ok(SearchCheckpoint {
             shard_index,
@@ -516,24 +483,15 @@ impl SearchCheckpoint {
         })
     }
 
-    /// Writes the checkpoint to `path` atomically: the payload goes to a
-    /// sibling `*.tmp` file first and is renamed over `path`, so a crash
-    /// mid-write cannot destroy the previous checkpoint.
+    /// Writes the checkpoint to `path` atomically through
+    /// [`publish_atomic`], so a crash mid-write cannot destroy the
+    /// previous checkpoint.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors as [`FnasError::Io`].
     pub fn save(&self, path: &Path) -> Result<()> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&self.to_bytes())?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(())
+        Ok(publish_atomic(path, &self.to_bytes())?)
     }
 
     /// Reads a checkpoint from `path`.
@@ -550,112 +508,6 @@ impl SearchCheckpoint {
 fn corrupt(what: &str) -> FnasError {
     FnasError::InvalidConfig {
         what: format!("checkpoint: {what}"),
-    }
-}
-
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-    fn u8(&mut self, x: u8) {
-        self.buf.push(x);
-    }
-    fn u32(&mut self, x: u32) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn f32(&mut self, x: f32) {
-        self.u32(x.to_bits());
-    }
-    fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
-    fn opt_f32(&mut self, x: Option<f32>) {
-        match x {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.f32(v);
-            }
-        }
-    }
-    fn opt_f64(&mut self, x: Option<f64>) {
-        match x {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.f64(v);
-            }
-        }
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| corrupt("unexpected end of payload"))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4")))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8")))
-    }
-    fn f32(&mut self) -> Result<f32> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    /// A length prefix, sanity-bounded by the remaining payload so corrupt
-    /// lengths fail cleanly instead of attempting huge allocations.
-    fn len(&mut self) -> Result<usize> {
-        let n = self.u64()?;
-        if n > (self.buf.len() - self.pos) as u64 {
-            return Err(corrupt(&format!("implausible length {n}")));
-        }
-        Ok(n as usize)
-    }
-    fn opt_f32(&mut self) -> Result<Option<f32>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f32()?)),
-            tag => Err(corrupt(&format!("bad option tag {tag}"))),
-        }
-    }
-    fn opt_f64(&mut self) -> Result<Option<f64>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            tag => Err(corrupt(&format!("bad option tag {tag}"))),
-        }
-    }
-    fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
     }
 }
 
@@ -760,11 +612,9 @@ mod tests {
         let ck = sample();
         ck.save(&path).unwrap();
         assert_eq!(SearchCheckpoint::load(&path).unwrap(), ck);
-        // Saving again overwrites atomically (no stale tmp file left).
+        // Saving again overwrites atomically.
         ck.save(&path).unwrap();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        assert!(!std::path::PathBuf::from(tmp).exists());
+        assert_eq!(SearchCheckpoint::load(&path).unwrap(), ck);
         fs::remove_file(&path).unwrap();
     }
 
@@ -779,6 +629,15 @@ mod tests {
         bytes[8] = 0xFF; // version LSB
         let err = SearchCheckpoint::from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+        // Only the current version loads: v1–v3 layouts are refused.
+        for version in 1..VERSION {
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = SearchCheckpoint::from_bytes(&bytes).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported checkpoint version"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -809,54 +668,6 @@ mod tests {
         assert!(err.to_string().contains("implausible length"), "{err}");
     }
 
-    /// Rewrites v4 bytes into the v3 layout: patch the version word and
-    /// splice out the length-prefixed job block after the shard header.
-    fn downgrade_to_v3(v4: &[u8]) -> Vec<u8> {
-        let header_end = MAGIC.len() + 4 + 24;
-        let n = u64::from_le_bytes(v4[header_end..header_end + 8].try_into().unwrap()) as usize;
-        let mut v3 = Vec::with_capacity(v4.len() - 8 - n);
-        v3.extend_from_slice(&v4[..MAGIC.len()]);
-        v3.extend_from_slice(&3u32.to_le_bytes());
-        v3.extend_from_slice(&v4[MAGIC.len() + 4..header_end]);
-        v3.extend_from_slice(&v4[header_end + 8 + n..]);
-        v3
-    }
-
-    /// Rewrites v3 bytes into the v1 layout: patch the version word and
-    /// splice out the 24-byte shard header (v2's 16 bytes plus v3's round
-    /// counter) that sits after it.
-    fn downgrade_to_v1(v3: &[u8]) -> Vec<u8> {
-        let mut v1 = Vec::with_capacity(v3.len() - 24);
-        v1.extend_from_slice(&v3[..MAGIC.len()]);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&v3[MAGIC.len() + 4 + 24..]);
-        v1
-    }
-
-    /// Rewrites v3 bytes into the v2 layout: patch the version word, keep
-    /// the 16-byte v2 shard header, splice out the 8-byte round counter.
-    fn downgrade_to_v2(v3: &[u8]) -> Vec<u8> {
-        let header_end = MAGIC.len() + 4 + 16;
-        let mut v2 = Vec::with_capacity(v3.len() - 8);
-        v2.extend_from_slice(&v3[..MAGIC.len()]);
-        v2.extend_from_slice(&2u32.to_le_bytes());
-        v2.extend_from_slice(&v3[MAGIC.len() + 4..header_end]);
-        v2.extend_from_slice(&v3[header_end + 8..]);
-        v2
-    }
-
-    #[test]
-    fn v3_snapshots_load_as_the_pinned_default_job() {
-        let mut ck = sample();
-        let v3 = downgrade_to_v3(&ck.to_bytes());
-        let restored = SearchCheckpoint::from_bytes(&v3).unwrap();
-        ck.job = JobSpec::default();
-        assert_eq!(restored, ck);
-        // Everything that predates the job header is untouched.
-        assert_eq!(restored.round, 2);
-        assert_eq!(restored.parent_seed, 0xF0A5);
-    }
-
     #[test]
     fn corrupt_job_headers_are_rejected() {
         let ck = sample();
@@ -867,38 +678,6 @@ mod tests {
         bytes[payload..payload + 4].copy_from_slice(&0xFFu32.to_le_bytes());
         let err = SearchCheckpoint::from_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("job header"), "{err}");
-    }
-
-    #[test]
-    fn v1_snapshots_load_as_shard_zero_of_one_round_zero() {
-        let mut ck = sample();
-        ck.shard_index = 0;
-        ck.shard_count = 1;
-        ck.parent_seed = ck.run_seed;
-        ck.round = 0;
-        ck.job = JobSpec::default(); // pre-job snapshots load as default
-        let v1 = downgrade_to_v1(&downgrade_to_v3(&ck.to_bytes()));
-        let restored = SearchCheckpoint::from_bytes(&v1).unwrap();
-        assert_eq!(restored, ck);
-        assert_eq!(restored.shard_index, 0);
-        assert_eq!(restored.shard_count, 1);
-        assert_eq!(restored.parent_seed, restored.run_seed);
-        assert_eq!(restored.round, 0);
-    }
-
-    #[test]
-    fn v2_snapshots_keep_their_shard_stamp_and_load_as_round_zero() {
-        let mut ck = sample();
-        ck.shard_index = 1;
-        ck.shard_count = 4;
-        ck.round = 0;
-        ck.job = JobSpec::default(); // pre-job snapshots load as default
-        let v2 = downgrade_to_v2(&downgrade_to_v3(&ck.to_bytes()));
-        let restored = SearchCheckpoint::from_bytes(&v2).unwrap();
-        assert_eq!(restored, ck);
-        assert_eq!(restored.shard_index, 1);
-        assert_eq!(restored.shard_count, 4);
-        assert_eq!(restored.round, 0);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use fnas_exec::Deadline;
 use fnas_nn::model::Sequential;
 use fnas_nn::optim::Sgd;
 use fnas_nn::train::{train, Batch};
+use fnas_store::bytes::mix64;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -281,22 +282,16 @@ impl SurrogateEvaluator {
     }
 
     /// Stable per-architecture noise seed: the layer choices and the salt
-    /// folded through a SplitMix64-style avalanche mix (the same finaliser
-    /// as `fnas_exec::derive_child_seed`). A fixed published algorithm —
+    /// folded through the SplitMix64 step ([`mix64`], the mix of
+    /// `fnas_exec::derive_child_seed`). A fixed published algorithm —
     /// not `DefaultHasher`, whose output the standard library does not
     /// guarantee across releases — so surrogate accuracies recorded in one
     /// toolchain replay bit-identically in every other.
     fn arch_seed(&self, arch: &ChildArch) -> u64 {
-        fn mix(mut z: u64) -> u64 {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        let mut h = mix(self.seed_salt);
+        let mut h = mix64(self.seed_salt);
         for l in arch.layers() {
-            h = mix(h ^ l.filter_size as u64);
-            h = mix(h ^ l.num_filters as u64);
+            h = mix64(h ^ l.filter_size as u64);
+            h = mix64(h ^ l.num_filters as u64);
         }
         h
     }

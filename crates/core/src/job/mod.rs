@@ -11,7 +11,7 @@
 //!   [`JobSpec::decode`]) — the byte string that *is* the job's identity;
 //!   two specs are equal iff their encodings are equal;
 //! * a pinned **FNV-1a/SplitMix64 digest** ([`JobSpec::job_digest`]) over
-//!   that encoding, mirroring `fnas_store::digest128` — the `u64` key the
+//!   that encoding, built from the `fnas_store::bytes` hashes — the `u64` key the
 //!   `FNC1` protocol, the coordinator's WAL and the store's job namespace
 //!   all carry (`tests/job_identity.rs` pins one canonical digest so
 //!   silent schema drift fails CI);
@@ -35,6 +35,7 @@
 pub mod cli;
 
 use fnas_fpga::device::FpgaDevice;
+use fnas_store::bytes::{decode, finalize64, fnv1a, DecodeError, Reader, Writer, GOLDEN};
 
 use crate::experiment::ExperimentPreset;
 use crate::search::SearchConfig;
@@ -77,25 +78,9 @@ pub struct JobSpec {
 /// Codec version word leading every encoded spec.
 const CODEC_VERSION: u32 = 1;
 
-/// FNV-1a prime (shared with `fnas_store::digest128`).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Golden-ratio constant for length finalization.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// The digest's offset basis — a domain tag, so a job digest can never
 /// collide-by-construction with the store's or the protocol's hashes.
 const DIGEST_SEED: u64 = u64::from_le_bytes(*b"FNASJOB1");
-
-/// SplitMix64 finalizer (identical to the store's `mix64`).
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
-}
 
 impl JobSpec {
     /// A job over the named preset with every override unset and the
@@ -186,107 +171,59 @@ impl JobSpec {
     /// length-prefixed or fixed-width, so the encoding is injective:
     /// distinct specs never share bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.preset.len());
-        out.extend_from_slice(&CODEC_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.preset.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.preset.as_bytes());
-        match &self.device {
-            None => out.push(0),
-            Some(d) => {
-                out.push(1);
-                out.extend_from_slice(&(d.len() as u32).to_le_bytes());
-                out.extend_from_slice(d.as_bytes());
-            }
-        }
-        match self.required_ms {
-            None => out.push(0),
-            Some(ms) => {
-                out.push(1);
-                out.extend_from_slice(&ms.to_bits().to_le_bytes());
-            }
-        }
-        match self.trials {
-            None => out.push(0),
-            Some(t) => {
-                out.push(1);
-                out.extend_from_slice(&(t as u64).to_le_bytes());
-            }
-        }
-        match self.seed {
-            None => out.push(0),
-            Some(s) => {
-                out.push(1);
-                out.extend_from_slice(&s.to_le_bytes());
-            }
-        }
-        out.push(match self.backend {
+        let mut w = Writer::with_capacity(32 + self.preset.len());
+        w.u32(CODEC_VERSION);
+        w.str(&self.preset);
+        w.opt(self.device.as_deref(), Writer::str);
+        w.opt(self.required_ms, Writer::f64);
+        w.opt(self.trials, |w, t| w.u64(t as u64));
+        w.opt(self.seed, Writer::u64);
+        w.u8(match self.backend {
             OracleBackend::Analytic => 0,
             OracleBackend::Simulated => 1,
         });
-        out
+        w.into_bytes()
     }
 
     /// Decodes a canonical encoding; `None` on any defect (wrong
     /// version, bad tag, non-UTF-8 string, truncation, trailing bytes).
     pub fn decode(bytes: &[u8]) -> Option<JobSpec> {
-        let mut r = Reader { bytes, at: 0 };
-        if r.u32()? != CODEC_VERSION {
-            return None;
-        }
-        let preset = r.string()?;
-        let device = match r.u8()? {
-            0 => None,
-            1 => Some(r.string()?),
-            _ => return None,
-        };
-        let required_ms = match r.u8()? {
-            0 => None,
-            1 => Some(f64::from_bits(r.u64()?)),
-            _ => return None,
-        };
-        let trials = match r.u8()? {
-            0 => None,
-            1 => Some(usize::try_from(r.u64()?).ok()?),
-            _ => return None,
-        };
-        let seed = match r.u8()? {
-            0 => None,
-            1 => Some(r.u64()?),
-            _ => return None,
-        };
-        let backend = match r.u8()? {
-            0 => OracleBackend::Analytic,
-            1 => OracleBackend::Simulated,
-            _ => return None,
-        };
-        if r.at != bytes.len() {
-            return None;
-        }
-        Some(JobSpec {
-            preset,
-            device,
-            required_ms,
-            trials,
-            seed,
-            backend,
+        decode(bytes, |r| {
+            let version = r.u32()?;
+            if version != CODEC_VERSION {
+                return Err(DecodeError::Invalid(format!("job codec version {version}")));
+            }
+            let string = |r: &mut Reader<'_>| r.str().map(str::to_string);
+            Ok(JobSpec {
+                preset: string(r)?,
+                device: r.opt(string)?,
+                required_ms: r.opt(Reader::f64)?,
+                trials: r.opt(|r| {
+                    let t = r.u64()?;
+                    usize::try_from(t).map_err(|_| DecodeError::Length(t))
+                })?,
+                seed: r.opt(Reader::u64)?,
+                backend: if r.tag("backend")? {
+                    OracleBackend::Simulated
+                } else {
+                    OracleBackend::Analytic
+                },
+            })
         })
+        .ok()
     }
 
     /// The pinned job digest: FNV-1a over [`JobSpec::encode`] from the
-    /// `FNASJOB1` offset basis, length-finalized and mixed through
-    /// SplitMix64 — the same construction as `fnas_store::digest128`,
-    /// under a distinct domain tag. This is the `u64` stamped into
-    /// `FNC1` requests, WAL `EpochStarted` records and the store's job
-    /// namespace; `tests/job_identity.rs` pins one canonical value.
+    /// `FNASJOB1` offset basis, length-finalized, then avalanched by the
+    /// bare SplitMix64 finaliser ([`finalize64`] — unlike the lanes of
+    /// `fnas_store::digest128`, without the golden-ratio increment of
+    /// `mix64`). This is the `u64` stamped into `FNC1` requests, WAL
+    /// `EpochStarted` records and the store's job namespace;
+    /// `tests/job_identity.rs` pins one canonical value.
     pub fn job_digest(&self) -> u64 {
         let bytes = self.encode();
-        let mut h = DIGEST_SEED;
-        for &b in &bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h = h.wrapping_add((bytes.len() as u64).wrapping_mul(GOLDEN));
-        mix64(h)
+        let h = fnv1a(DIGEST_SEED, &bytes);
+        finalize64(h.wrapping_add((bytes.len() as u64).wrapping_mul(GOLDEN)))
     }
 
     /// Resolves the spec into the [`SearchConfig`] the engine runs.
@@ -331,11 +268,9 @@ impl PartialEq for JobSpec {
 impl Eq for JobSpec {}
 
 impl Default for JobSpec {
-    /// The pinned default job — what a `FNASCKPT` v3 checkpoint (written
-    /// before jobs existed) loads as: the `mnist` preset under the
-    /// historical 10 ms budget, no overrides, analytic backend. Pinned by
-    /// `tests/job_identity.rs`; changing it silently re-keys every
-    /// pre-v4 artifact.
+    /// The pinned default job: the `mnist` preset under the historical
+    /// 10 ms budget, no overrides, analytic backend. Pinned by
+    /// `tests/job_identity.rs`.
     fn default() -> Self {
         JobSpec::new("mnist").with_required_ms(Some(10.0))
     }
@@ -387,45 +322,6 @@ fn device_by_name(name: &str) -> Result<FpgaDevice> {
         other => Err(FnasError::InvalidConfig {
             what: format!("unknown device {other:?}"),
         }),
-    }
-}
-
-/// Bounds-checked little-endian reader (the `persist::Cursor` idiom).
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Reader<'_> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.at)?;
-        self.at += 1;
-        Some(b)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let end = self.at.checked_add(4)?;
-        let s = self.bytes.get(self.at..end)?;
-        self.at = end;
-        Some(u32::from_le_bytes(s.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let end = self.at.checked_add(8)?;
-        let s = self.bytes.get(self.at..end)?;
-        self.at = end;
-        Some(u64::from_le_bytes(s.try_into().ok()?))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = usize::try_from(self.u32()?).ok()?;
-        if len > self.bytes.len().saturating_sub(self.at) {
-            return None;
-        }
-        let end = self.at + len;
-        let s = std::str::from_utf8(self.bytes.get(self.at..end)?).ok()?;
-        self.at = end;
-        Some(s.to_string())
     }
 }
 

@@ -25,6 +25,7 @@ use fnas_fpga::analyzer::AnalyzerReport;
 use fnas_fpga::device::FpgaCluster;
 use fnas_fpga::sched::ReuseStrategy;
 use fnas_fpga::{Cycles, Millis};
+use fnas_store::bytes::{decode, DecodeError, Reader, Writer};
 use fnas_store::{digest128, Backend, CacheKey};
 
 /// Canonical byte encoding of an architecture and the input shape it is
@@ -32,16 +33,15 @@ use fnas_store::{digest128, Backend, CacheKey};
 /// `(filter_size, num_filters)` per layer, all little-endian `u64`.
 pub fn arch_bytes(arch: &ChildArch, input: (usize, usize, usize)) -> Vec<u8> {
     let layers = arch.layers();
-    let mut out = Vec::with_capacity(8 * (4 + 2 * layers.len()));
-    for dim in [input.0, input.1, input.2] {
-        out.extend_from_slice(&(dim as u64).to_le_bytes());
+    let mut w = Writer::with_capacity(8 * (4 + 2 * layers.len()));
+    for dim in [input.0, input.1, input.2, layers.len()] {
+        w.u64(dim as u64);
     }
-    out.extend_from_slice(&(layers.len() as u64).to_le_bytes());
     for layer in layers {
-        out.extend_from_slice(&(layer.filter_size as u64).to_le_bytes());
-        out.extend_from_slice(&(layer.num_filters as u64).to_le_bytes());
+        w.u64(layer.filter_size as u64);
+        w.u64(layer.num_filters as u64);
     }
-    out
+    w.into_bytes()
 }
 
 /// Canonical byte encoding of a target cluster: device count, then per
@@ -51,16 +51,16 @@ pub fn arch_bytes(arch: &ChildArch, input: (usize, usize, usize)) -> Vec<u8> {
 /// the oracle).
 pub fn cluster_bytes(cluster: &FpgaCluster) -> Vec<u8> {
     let devices = cluster.devices();
-    let mut out = Vec::with_capacity(8 * (2 + 4 * devices.len()));
-    out.extend_from_slice(&(devices.len() as u64).to_le_bytes());
+    let mut w = Writer::with_capacity(8 * (2 + 4 * devices.len()));
+    w.u64(devices.len() as u64);
     for device in devices {
-        out.extend_from_slice(&(device.dsp_slices() as u64).to_le_bytes());
-        out.extend_from_slice(&(device.bram_bytes() as u64).to_le_bytes());
-        out.extend_from_slice(&device.bandwidth_bytes_per_cycle().to_bits().to_le_bytes());
-        out.extend_from_slice(&device.clock_mhz().to_bits().to_le_bytes());
+        w.u64(device.dsp_slices() as u64);
+        w.u64(device.bram_bytes() as u64);
+        w.f64(device.bandwidth_bytes_per_cycle());
+        w.f64(device.clock_mhz());
     }
-    out.extend_from_slice(&cluster.link_bytes_per_cycle().to_bits().to_le_bytes());
-    out
+    w.f64(cluster.link_bytes_per_cycle());
+    w.into_bytes()
 }
 
 /// The store key for `arch` evaluated on `cluster` by `backend`, under
@@ -82,65 +82,51 @@ pub fn cache_key(
 
 /// Encodes an [`AnalyzerReport`] as an analytic-backend store payload.
 pub fn encode_report(report: &AnalyzerReport) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&report.latency_cycles.get().to_le_bytes());
-    out.extend_from_slice(&report.latency.get().to_bits().to_le_bytes());
-    out.extend_from_slice(&report.eq5_cycles.get().to_le_bytes());
+    let mut w = Writer::default();
+    w.u64(report.latency_cycles.get());
+    w.f64(report.latency.get());
+    w.u64(report.eq5_cycles.get());
     for cycles in [&report.et, &report.processing, &report.start_deltas] {
-        out.extend_from_slice(&(cycles.len() as u64).to_le_bytes());
+        w.u64(cycles.len() as u64);
         for c in cycles {
-            out.extend_from_slice(&c.get().to_le_bytes());
+            w.u64(c.get());
         }
     }
-    out.extend_from_slice(&(report.reuse.len() as u64).to_le_bytes());
+    w.u64(report.reuse.len() as u64);
     for strategy in &report.reuse {
-        out.push(match strategy {
+        w.u8(match strategy {
             ReuseStrategy::OfmReuse => 1,
             ReuseStrategy::IfmReuse => 2,
         });
     }
-    out
+    w.into_bytes()
 }
 
 /// Decodes an analytic-backend payload; `None` on any defect.
 pub fn decode_report(bytes: &[u8]) -> Option<AnalyzerReport> {
-    let mut cursor = Cursor { bytes, at: 0 };
-    let latency_cycles = Cycles::new(cursor.u64()?);
-    let latency = Millis::new(f64::from_bits(cursor.u64()?));
-    let eq5_cycles = Cycles::new(cursor.u64()?);
-    let mut cycle_vecs = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let len = cursor.len()?;
-        let mut vec = Vec::with_capacity(len);
-        for _ in 0..len {
-            vec.push(Cycles::new(cursor.u64()?));
-        }
-        cycle_vecs.push(vec);
-    }
-    let reuse_len = cursor.len()?;
-    let mut reuse = Vec::with_capacity(reuse_len);
-    for _ in 0..reuse_len {
-        reuse.push(match cursor.u8()? {
-            1 => ReuseStrategy::OfmReuse,
-            2 => ReuseStrategy::IfmReuse,
-            _ => return None,
-        });
-    }
-    if !cursor.done() {
-        return None;
-    }
-    let start_deltas = cycle_vecs.pop()?;
-    let processing = cycle_vecs.pop()?;
-    let et = cycle_vecs.pop()?;
-    Some(AnalyzerReport {
-        latency_cycles,
-        latency,
-        eq5_cycles,
-        et,
-        processing,
-        start_deltas,
-        reuse,
+    let cycles = |r: &mut Reader<'_>| {
+        let n = r.count64(8)?;
+        r.vec(n, |r| r.u64().map(Cycles::new))
+    };
+    decode(bytes, |r| {
+        Ok(AnalyzerReport {
+            latency_cycles: Cycles::new(r.u64()?),
+            latency: Millis::new(r.f64()?),
+            eq5_cycles: Cycles::new(r.u64()?),
+            et: cycles(r)?,
+            processing: cycles(r)?,
+            start_deltas: cycles(r)?,
+            reuse: {
+                let n = r.count64(1)?;
+                r.vec(n, |r| match r.u8()? {
+                    1 => Ok(ReuseStrategy::OfmReuse),
+                    2 => Ok(ReuseStrategy::IfmReuse),
+                    tag => Err(DecodeError::Tag { what: "reuse", tag }),
+                })?
+            },
+        })
     })
+    .ok()
 }
 
 /// Encodes a latency as a simulated-backend store payload (IEEE bits).
@@ -150,43 +136,7 @@ pub fn encode_millis(value: Millis) -> Vec<u8> {
 
 /// Decodes a simulated-backend payload; `None` on any defect.
 pub fn decode_millis(bytes: &[u8]) -> Option<Millis> {
-    let bits: [u8; 8] = bytes.try_into().ok()?;
-    Some(Millis::new(f64::from_bits(u64::from_le_bytes(bits))))
-}
-
-/// Bounds-checked little-endian reader over a payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Cursor<'_> {
-    fn u8(&mut self) -> Option<u8> {
-        let byte = *self.bytes.get(self.at)?;
-        self.at += 1;
-        Some(byte)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let end = self.at.checked_add(8)?;
-        let slice = self.bytes.get(self.at..end)?;
-        self.at = end;
-        Some(u64::from_le_bytes(slice.try_into().ok()?))
-    }
-
-    /// A length field, additionally bounded by the remaining bytes so a
-    /// corrupt length cannot trigger a huge allocation.
-    fn len(&mut self) -> Option<usize> {
-        let len = usize::try_from(self.u64()?).ok()?;
-        if len > self.bytes.len().saturating_sub(self.at) {
-            return None;
-        }
-        Some(len)
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
-    }
+    decode(bytes, Reader::f64).ok().map(Millis::new)
 }
 
 #[cfg(test)]

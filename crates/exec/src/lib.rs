@@ -22,6 +22,7 @@
 //! * [`telemetry`] — atomic counters and monotonic phase timers
 //!   ([`SearchTelemetry`]) snapshotting into a plain
 //!   [`TelemetrySnapshot`] for reports;
+//! * [`hash`] — FNV-1a and the SplitMix64 step shared with `fnas-fpga`;
 //! * [`seed`] — the deterministic per-child seed derivation
 //!   ([`derive_child_seed`]) that makes results bit-identical regardless
 //!   of worker count;
@@ -38,6 +39,7 @@
 
 pub mod cache;
 pub mod executor;
+pub mod hash;
 pub mod seed;
 pub mod telemetry;
 pub mod watchdog;

@@ -32,6 +32,7 @@ pub mod partition;
 use std::sync::Arc;
 use std::time::Instant;
 
+use fnas_exec::hash::{fnv1a, mix64, FNV_OFFSET};
 use fnas_exec::Executor;
 
 use crate::design::PipelineDesign;
@@ -452,21 +453,10 @@ pub fn canonical_pipeline_fingerprint() -> u64 {
     PassManager::standard().fingerprint()
 }
 
-/// 64-bit FNV-1a with a SplitMix64 finaliser; stable across platforms.
+/// 64-bit FNV-1a, length-finalised through SplitMix64; stable across
+/// platforms.
 fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    mix64(h ^ bytes.len() as u64)
-}
-
-/// SplitMix64 finaliser.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(fnv1a(FNV_OFFSET, bytes) ^ bytes.len() as u64)
 }
 
 #[cfg(test)]

@@ -10,29 +10,10 @@
 //! `Retry`, `Error`, and `JobInfo` are all legitimate protocol answers
 //! a caller (the CLI, the tests, a poll loop) wants to branch on.
 
-use std::net::TcpStream;
-use std::time::Duration;
-
 use fnas::job::JobSpec;
 use fnas::Result;
-use fnas_coord::framing::{read_frame, write_frame};
+use fnas_coord::proto::call;
 use fnas_coord::{Request, Response};
-
-/// Performs one request–response exchange against `addr`.
-///
-/// # Errors
-///
-/// Connection, frame I/O, and response-decoding errors. A protocol
-///-level refusal ([`Response::Error`], [`Response::Retry`]) is a
-/// successful exchange, not an `Err`.
-pub fn rpc(addr: &str, request: &Request) -> Result<Response> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    write_frame(&mut stream, &request.to_bytes())?;
-    let response = Response::from_bytes(&read_frame(&mut stream)?)?;
-    Ok(response)
-}
 
 /// Submits `spec` as a new job with the given execution shape.
 ///
@@ -42,7 +23,7 @@ pub fn rpc(addr: &str, request: &Request) -> Result<Response> {
 ///
 /// # Errors
 ///
-/// Transport errors from [`rpc`].
+/// Transport errors from [`call`].
 pub fn submit_job(
     addr: &str,
     spec: &JobSpec,
@@ -50,7 +31,7 @@ pub fn submit_job(
     shards: u32,
     rounds: u64,
 ) -> Result<Response> {
-    rpc(
+    call(
         addr,
         &Request::SubmitJob {
             spec: spec.encode(),
@@ -65,27 +46,27 @@ pub fn submit_job(
 ///
 /// # Errors
 ///
-/// Transport errors from [`rpc`].
+/// Transport errors from [`call`].
 pub fn job_status(addr: &str, job: u64) -> Result<Response> {
-    rpc(addr, &Request::JobStatus { job })
+    call(addr, &Request::JobStatus { job })
 }
 
 /// Lists every admitted job `(digest, state)` in admission order.
 ///
 /// # Errors
 ///
-/// Transport errors from [`rpc`].
+/// Transport errors from [`call`].
 pub fn list_jobs(addr: &str) -> Result<Response> {
-    rpc(addr, &Request::ListJobs)
+    call(addr, &Request::ListJobs)
 }
 
 /// Cancels `job` (idempotent; its scheduler entry stops assigning).
 ///
 /// # Errors
 ///
-/// Transport errors from [`rpc`].
+/// Transport errors from [`call`].
 pub fn cancel_job(addr: &str, job: u64) -> Result<Response> {
-    rpc(addr, &Request::CancelJob { job })
+    call(addr, &Request::CancelJob { job })
 }
 
 /// One observation of `job`'s progress, same answer shape as
@@ -93,7 +74,7 @@ pub fn cancel_job(addr: &str, job: u64) -> Result<Response> {
 ///
 /// # Errors
 ///
-/// Transport errors from [`rpc`].
+/// Transport errors from [`call`].
 pub fn watch_progress(addr: &str, job: u64) -> Result<Response> {
-    rpc(addr, &Request::WatchProgress { job })
+    call(addr, &Request::WatchProgress { job })
 }

@@ -31,6 +31,6 @@ pub mod client;
 pub mod progress;
 pub mod server;
 
-pub use client::{cancel_job, job_status, list_jobs, rpc, submit_job, watch_progress};
+pub use client::{cancel_job, job_status, list_jobs, submit_job, watch_progress};
 pub use progress::JobProgress;
 pub use server::{JobState, ServeOptions, Server};

@@ -7,12 +7,13 @@
 //! verbatim — status reads never touch live coordinator state, so a
 //! status storm cannot contend with the round barrier.
 //!
-//! Encoding is the workspace's usual hand-rolled little-endian style:
-//! magic `FNPR1`, fixed-width counters, the best-arch description as a
-//! `u32` length + UTF-8. Rewards travel as `f32::to_bits` so the bytes
-//! are deterministic and comparable, like every other artifact.
+//! Encoding uses the `fnas_store::bytes` cursors: magic `FNPR1`,
+//! fixed-width counters, the best-arch description as a `u32` length +
+//! UTF-8. Rewards travel as `f32::to_bits` so the bytes are deterministic
+//! and comparable, like every other artifact.
 
 use fnas_coord::CoordinatorProgress;
+use fnas_store::bytes::{decode, DecodeError, Writer};
 
 /// Magic prefix of an encoded [`JobProgress`] ("FNas PRogress v1").
 pub const MAGIC: &[u8; 5] = b"FNPR1";
@@ -86,8 +87,8 @@ impl JobProgress {
 
     /// Serialises to the canonical `FNPR1` bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(96 + self.best_arch.len());
-        out.extend_from_slice(MAGIC);
+        let mut w = Writer::with_capacity(96 + self.best_arch.len());
+        w.raw(MAGIC);
         for v in [
             self.job,
             self.round,
@@ -100,63 +101,46 @@ impl JobProgress {
             self.retries_served,
             self.retry_sleep_ms,
         ] {
-            out.extend_from_slice(&v.to_le_bytes());
+            w.u64(v);
         }
-        out.extend_from_slice(&self.shards.to_le_bytes());
-        out.extend_from_slice(&self.best_reward_bits.to_le_bytes());
-        out.push(u8::from(self.finished));
-        out.extend_from_slice(&(self.best_arch.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.best_arch.as_bytes());
-        out
+        w.u32(self.shards);
+        w.u32(self.best_reward_bits);
+        w.bool(self.finished);
+        w.str(&self.best_arch);
+        w.into_bytes()
     }
 
     /// Parses canonical bytes; `None` on any corruption (bad magic,
     /// truncation, trailing bytes, non-UTF-8 description).
     pub fn decode(bytes: &[u8]) -> Option<JobProgress> {
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-            let end = at.checked_add(n).filter(|&e| e <= bytes.len())?;
-            let s = &bytes[*at..end];
-            *at = end;
-            Some(s)
-        };
-        if take(&mut at, MAGIC.len())? != MAGIC {
-            return None;
-        }
-        let mut u64s = [0u64; 10];
-        for v in &mut u64s {
-            *v = u64::from_le_bytes(take(&mut at, 8)?.try_into().ok()?);
-        }
-        let shards = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?);
-        let best_reward_bits = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?);
-        let finished = match take(&mut at, 1)?[0] {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let arch_len = u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-        let best_arch = String::from_utf8(take(&mut at, arch_len)?.to_vec()).ok()?;
-        if at != bytes.len() {
-            return None;
-        }
-        let [job, round, rounds, rounds_merged, trials_done, leases_expired, shards_redispatched, duplicate_results, retries_served, retry_sleep_ms] =
-            u64s;
-        Some(JobProgress {
-            job,
-            round,
-            rounds,
-            shards,
-            rounds_merged,
-            finished,
-            trials_done,
-            best_reward_bits,
-            best_arch,
-            leases_expired,
-            shards_redispatched,
-            duplicate_results,
-            retries_served,
-            retry_sleep_ms,
+        decode(bytes, |r| {
+            if r.raw(MAGIC.len())? != MAGIC {
+                return Err(DecodeError::Invalid("not a progress snapshot".into()));
+            }
+            let mut u64s = [0u64; 10];
+            for v in &mut u64s {
+                *v = r.u64()?;
+            }
+            let [job, round, rounds, rounds_merged, trials_done, leases_expired, shards_redispatched, duplicate_results, retries_served, retry_sleep_ms] =
+                u64s;
+            Ok(JobProgress {
+                job,
+                round,
+                rounds,
+                shards: r.u32()?,
+                rounds_merged,
+                trials_done,
+                best_reward_bits: r.u32()?,
+                finished: r.bool()?,
+                best_arch: r.str()?.to_string(),
+                leases_expired,
+                shards_redispatched,
+                duplicate_results,
+                retries_served,
+                retry_sleep_ms,
+            })
         })
+        .ok()
     }
 }
 

@@ -29,7 +29,7 @@
 //! solo `fnas-coord` run of the same spec regardless of how the fleet
 //! interleaves jobs (`tests/serve_jobs.rs`).
 
-use std::io::{ErrorKind, Read};
+use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use fnas::job::JobSpec;
 use fnas::Result;
-use fnas_coord::framing::{read_frame, write_frame};
+use fnas_coord::proto::answer;
 use fnas_coord::{
     Clock, Coordinator, CoordinatorOptions, LeasePolicy, Request, Response, JOB_STATE_CANCELLED,
     JOB_STATE_FINISHED, JOB_STATE_RUNNING,
@@ -527,19 +527,8 @@ impl Server {
         }
     }
 
-    fn handle_connection(&self, mut stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-        let response = match read_frame(&mut stream).and_then(|b| Request::from_bytes(&b)) {
-            Ok(request) => self.handle(&request),
-            Err(e) => Response::Error {
-                what: e.to_string(),
-            },
-        };
-        let _ = write_frame(&mut stream, &response.to_bytes());
-        // Same TIME_WAIT discipline as the coordinator shell: wait for
-        // the peer's close so the wait state lands on their port.
-        let _ = stream.read(&mut [0u8; 1]);
+    fn handle_connection(&self, stream: TcpStream) {
+        answer(stream, |request| self.handle(request));
     }
 }
 

@@ -1,27 +1,23 @@
 //! Crash-safe on-disk store implementation and maintenance operations.
 
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::process;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
+use crate::bytes::publish_atomic;
+pub use crate::bytes::TMP_PREFIX;
 use crate::key::CacheKey;
 use crate::record::{decode_any_record, decode_record, encode_record};
 use crate::{Store, StoreCounters};
 
-/// Prefix of in-flight temporary files; anything starting with this is an
-/// abandoned partial write and may be deleted at any time.
-pub const TMP_PREFIX: &str = ".tmp-";
-
 /// Content-addressed store rooted at a directory.
 ///
-/// Records live under `<root>/objects/<2 hex>/<32 hex>.rec`. Writes go to a
-/// uniquely named temporary file in the destination shard directory and are
-/// published with an atomic `rename`, the same discipline as checkpoint
-/// saves: readers only ever observe absent or complete records, and a crash
-/// mid-write leaves only a `.tmp-*` file that every reader ignores.
+/// Records live under `<root>/objects/<2 hex>/<32 hex>.rec`. Writes go
+/// through [`publish_atomic`], the routine checkpoint saves use: readers
+/// only ever observe absent or complete records, and a crash mid-write
+/// leaves only a `.tmp-*` file that every reader ignores.
 ///
 /// Beside the object tree lives a job-scoped artifact namespace,
 /// `<root>/jobs/<016x job digest>/<name>`: named blobs (shard checkpoints,
@@ -45,7 +41,6 @@ pub struct DiskStore {
     writes: AtomicU64,
     evictions: AtomicU64,
     bytes: AtomicU64,
-    tmp_counter: AtomicU64,
 }
 
 /// Snapshot of on-disk contents, as reported by `fnas-store stat`.
@@ -132,7 +127,6 @@ impl DiskStore {
             writes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            tmp_counter: AtomicU64::new(0),
         };
         store.bytes.store(store.stat()?.bytes, Ordering::Relaxed);
         Ok(store)
@@ -167,15 +161,14 @@ impl DiskStore {
     ///
     /// Returns any I/O error other than the directory not existing.
     pub fn list_artifacts(&self, job: u64) -> io::Result<Vec<String>> {
-        let mut names: Vec<String> = sorted_entries(&self.job_dir(job))?
+        // Entries come sorted by path, so the names are sorted too.
+        Ok(sorted_entries(&self.job_dir(job))?
             .into_iter()
             // Subdirectories (a job's `wal/`, say) are not artifacts.
             .filter(|p| p.is_file())
             .filter_map(|p| p.file_name().and_then(|n| n.to_str()).map(String::from))
             .filter(|n| Self::artifact_name_ok(n))
-            .collect();
-        names.sort();
-        Ok(names)
+            .collect())
     }
 
     /// Per-job artifact accounting across the whole `jobs/` namespace,
@@ -222,9 +215,12 @@ impl DiskStore {
     }
 
     /// Walks the object tree. Calls `on_record(path, len, mtime)` for every
-    /// record file and counts tmp files.
-    fn walk(&self, mut on_record: impl FnMut(PathBuf, u64, SystemTime)) -> io::Result<u64> {
-        let mut tmp_files = 0;
+    /// record file and returns the tmp files' paths.
+    fn walk(
+        &self,
+        mut on_record: impl FnMut(PathBuf, u64, SystemTime),
+    ) -> io::Result<Vec<PathBuf>> {
+        let mut tmp_files = Vec::new();
         let objects = self.root.join("objects");
         for shard in sorted_entries(&objects)? {
             if !shard.is_dir() {
@@ -233,7 +229,7 @@ impl DiskStore {
             for path in sorted_entries(&shard)? {
                 let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
                 if name.starts_with(TMP_PREFIX) {
-                    tmp_files += 1;
+                    tmp_files.push(path);
                     continue;
                 }
                 if !name.ends_with(".rec") {
@@ -258,10 +254,12 @@ impl DiskStore {
     /// Returns any I/O error from walking the object or jobs trees.
     pub fn stat(&self) -> io::Result<StoreStat> {
         let mut stat = StoreStat::default();
-        stat.tmp_files = self.walk(|_, len, _| {
-            stat.records += 1;
-            stat.bytes += len;
-        })?;
+        stat.tmp_files = self
+            .walk(|_, len, _| {
+                stat.records += 1;
+                stat.bytes += len;
+            })?
+            .len() as u64;
         for job in self.job_stats()? {
             stat.jobs += 1;
             stat.artifacts += job.files;
@@ -278,20 +276,22 @@ impl DiskStore {
     /// Returns any I/O error from walking the object tree.
     pub fn verify(&self) -> io::Result<VerifyReport> {
         let mut report = VerifyReport::default();
-        report.tmp_files = self.walk(|path, _, _| {
-            let ok = fs::read(&path)
-                .ok()
-                .and_then(|bytes| decode_any_record(&bytes))
-                .is_some_and(|(key, _)| {
-                    path.file_name().and_then(|n| n.to_str())
-                        == Some(format!("{}.rec", key.hex()).as_str())
-                });
-            if ok {
-                report.valid += 1;
-            } else {
-                report.corrupt.push(path);
-            }
-        })?;
+        report.tmp_files = self
+            .walk(|path, _, _| {
+                let ok = fs::read(&path)
+                    .ok()
+                    .and_then(|bytes| decode_any_record(&bytes))
+                    .is_some_and(|(key, _)| {
+                        path.file_name().and_then(|n| n.to_str())
+                            == Some(format!("{}.rec", key.hex()).as_str())
+                    });
+                if ok {
+                    report.valid += 1;
+                } else {
+                    report.corrupt.push(path);
+                }
+            })?
+            .len() as u64;
         Ok(report)
     }
 
@@ -304,24 +304,7 @@ impl DiskStore {
     /// Returns any I/O error from walking the object tree.
     pub fn gc(&self, max_bytes: u64) -> io::Result<GcReport> {
         let mut records: Vec<(SystemTime, PathBuf, u64)> = Vec::new();
-        let mut tmp_paths: Vec<PathBuf> = Vec::new();
-        let objects = self.root.join("objects");
-        for shard in sorted_entries(&objects)? {
-            if !shard.is_dir() {
-                continue;
-            }
-            for path in sorted_entries(&shard)? {
-                let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-                if name.starts_with(TMP_PREFIX) {
-                    tmp_paths.push(path);
-                } else if name.ends_with(".rec") {
-                    if let Ok(meta) = fs::metadata(&path) {
-                        let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                        records.push((mtime, path, meta.len()));
-                    }
-                }
-            }
-        }
+        let tmp_paths = self.walk(|path, len, mtime| records.push((mtime, path, len)))?;
         let mut report = GcReport::default();
         for path in tmp_paths {
             if fs::remove_file(&path).is_ok() {
@@ -377,7 +360,7 @@ impl Store for DiskStore {
             return;
         }
         let bytes = encode_record(key, payload);
-        if write_atomic(&path, &bytes, &self.tmp_counter).is_ok() {
+        if publish(&path, &bytes).is_ok() {
             self.writes.fetch_add(1, Ordering::Relaxed);
             self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         }
@@ -400,7 +383,7 @@ impl Store for DiskStore {
         // Last-writer-wins by design: a re-run round republishes its
         // (byte-identical) shard checkpoint. Artifact traffic is not
         // counted in `bytes` — gc never weighs it against the cap.
-        let _ = write_atomic(&self.job_dir(job).join(name), bytes, &self.tmp_counter);
+        let _ = publish(&self.job_dir(job).join(name), bytes);
     }
 
     fn get_artifact(&self, job: u64, name: &str) -> Option<Vec<u8>> {
@@ -411,28 +394,21 @@ impl Store for DiskStore {
     }
 }
 
-/// Writes `bytes` to `path` via a uniquely named tmp file in the same
-/// directory followed by an atomic rename.
-fn write_atomic(path: &Path, bytes: &[u8], counter: &AtomicU64) -> io::Result<()> {
-    let dir = path
-        .parent()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "record path has no parent"))?;
-    fs::create_dir_all(dir)?;
-    let unique = counter.fetch_add(1, Ordering::Relaxed);
-    let tmp = dir.join(format!("{TMP_PREFIX}{}-{unique}", process::id()));
-    let mut file = fs::File::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_all()?;
-    drop(file);
-    let published = fs::rename(&tmp, path);
-    if published.is_err() {
-        let _ = fs::remove_file(&tmp);
+/// Publishes `bytes` at `path`, creating its directory on first use.
+fn publish(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    if let Some(dir) = path.parent() {
+        fs::create_dir_all(dir)?;
     }
-    published
+    publish_atomic(path, bytes)
 }
 
-/// Directory entries sorted by path for deterministic traversal order.
-fn sorted_entries(dir: &Path) -> io::Result<Vec<PathBuf>> {
+/// Entries of `dir` sorted by path, for deterministic traversal order; a
+/// missing directory reads as empty.
+///
+/// # Errors
+///
+/// Any I/O error other than `dir` not existing.
+pub fn sorted_entries(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut entries: Vec<PathBuf> = match fs::read_dir(dir) {
         Ok(iter) => iter.filter_map(|e| e.ok()).map(|e| e.path()).collect(),
         Err(err) if err.kind() == io::ErrorKind::NotFound => Vec::new(),
@@ -451,7 +427,7 @@ mod tests {
     fn scratch(tag: &str) -> PathBuf {
         let dir = env::temp_dir().join(format!(
             "fnas-store-{tag}-{}-{:?}",
-            process::id(),
+            std::process::id(),
             std::thread::current().id()
         ));
         let _ = fs::remove_dir_all(&dir);

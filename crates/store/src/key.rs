@@ -9,6 +9,8 @@
 
 use std::path::PathBuf;
 
+use crate::bytes::{decode, digest128, DecodeError, Writer};
+
 /// Version of the record payload schemas understood by this build.
 ///
 /// Bump this whenever the byte encoding of any stored payload or of the
@@ -89,36 +91,30 @@ impl CacheKey {
     /// `device_digest` (16 LE bytes), `pipeline_digest` (8 LE bytes),
     /// backend tag (1 byte), schema version (2 LE bytes).
     pub fn encode(&self) -> [u8; ENCODED_KEY_LEN] {
-        let mut out = [0u8; ENCODED_KEY_LEN];
-        out[..16].copy_from_slice(&self.arch_digest.to_le_bytes());
-        out[16..32].copy_from_slice(&self.device_digest.to_le_bytes());
-        out[32..40].copy_from_slice(&self.pipeline_digest.to_le_bytes());
-        out[40] = self.backend.tag();
-        out[41..43].copy_from_slice(&self.schema_version.to_le_bytes());
-        out
+        let mut w = Writer::with_capacity(ENCODED_KEY_LEN);
+        w.u128(self.arch_digest);
+        w.u128(self.device_digest);
+        w.u64(self.pipeline_digest);
+        w.u8(self.backend.tag());
+        w.u16(self.schema_version);
+        w.into_bytes()
+            .try_into()
+            .expect("the key encodes to its fixed width")
     }
 
     /// Decodes a canonical key encoding; `None` on wrong length or tag.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != ENCODED_KEY_LEN {
-            return None;
-        }
-        let mut arch = [0u8; 16];
-        arch.copy_from_slice(&bytes[..16]);
-        let mut device = [0u8; 16];
-        device.copy_from_slice(&bytes[16..32]);
-        let mut pipeline = [0u8; 8];
-        pipeline.copy_from_slice(&bytes[32..40]);
-        let backend = Backend::from_tag(bytes[40])?;
-        let mut version = [0u8; 2];
-        version.copy_from_slice(&bytes[41..43]);
-        Some(CacheKey {
-            arch_digest: u128::from_le_bytes(arch),
-            device_digest: u128::from_le_bytes(device),
-            pipeline_digest: u64::from_le_bytes(pipeline),
-            backend,
-            schema_version: u16::from_le_bytes(version),
+        decode(bytes, |r| {
+            Ok(CacheKey {
+                arch_digest: r.u128()?,
+                device_digest: r.u128()?,
+                pipeline_digest: r.u64()?,
+                backend: Backend::from_tag(r.u8()?)
+                    .ok_or_else(|| DecodeError::Invalid("unknown backend tag".into()))?,
+                schema_version: r.u16()?,
+            })
         })
+        .ok()
     }
 
     /// Digest of the canonical encoding; determines the on-disk path.
@@ -139,37 +135,6 @@ impl CacheKey {
             .join(&hex[..2])
             .join(format!("{hex}.rec"))
     }
-}
-
-/// 128-bit non-cryptographic content digest.
-///
-/// Two independent 64-bit FNV-1a-style lanes with distinct offset bases,
-/// each finalised with a SplitMix64 avalanche. Stable across platforms
-/// (pure integer arithmetic) and intended only for content addressing —
-/// collision probability at fleet scale is negligible for 128 bits, and a
-/// collision degrades to a checksum-verified wrong-key miss, never a wrong
-/// answer (records embed the full key).
-pub fn digest128(bytes: &[u8]) -> u128 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut b: u64 = 0x6c62_272e_07bb_0142;
-    for &byte in bytes {
-        a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        b = (b ^ u64::from(byte)).wrapping_mul(GOLDEN | 1);
-    }
-    let len = bytes.len() as u64;
-    a = mix64(a ^ len);
-    b = mix64(b ^ len.wrapping_mul(GOLDEN));
-    (u128::from(a) << 64) | u128::from(b)
-}
-
-/// SplitMix64 finaliser.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

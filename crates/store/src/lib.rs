@@ -11,9 +11,10 @@
 //! - **Canonical keys.** [`CacheKey`] has a fixed-width byte encoding and a
 //!   derived 128-bit path digest; records land at
 //!   `objects/<2 hex>/<32 hex>.rec`.
-//! - **Atomic publication.** Writes go to a `.tmp-*` file in the target
-//!   directory and are `rename`d into place — the same discipline as
-//!   checkpoint saves. Readers never see a partial record.
+//! - **Atomic publication.** Writes go through [`bytes::publish_atomic`]:
+//!   a `.tmp-*` file in the target directory, fsynced and `rename`d into
+//!   place — the same routine checkpoint saves and WAL spills use.
+//!   Readers never see a partial record.
 //! - **Total reads.** A bad record (truncated, bit-flipped, wrong key,
 //!   wrong schema version) is a miss, never a panic, and never a wrong
 //!   answer: records embed their full key and a checksum.
@@ -22,17 +23,22 @@
 //!
 //! The crate is dependency-free and does not know what the payloads mean;
 //! backends (the analytic model, the simulator) define their own payload
-//! codecs against [`SCHEMA_VERSION`].
+//! codecs against [`SCHEMA_VERSION`]. Being the lowest crate every
+//! persistence layer depends on, it also hosts [`bytes`], the byte layer
+//! (cursors, checksummed frames, atomic publish, hashes) all nine on-disk
+//! and on-wire formats of the workspace are built on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bytes;
 pub mod disk;
 pub mod key;
 pub mod record;
 
+pub use bytes::digest128;
 pub use disk::{DiskStore, GcReport, JobArtifacts, StoreStat, VerifyReport};
-pub use key::{digest128, Backend, CacheKey, ENCODED_KEY_LEN, SCHEMA_VERSION};
+pub use key::{Backend, CacheKey, ENCODED_KEY_LEN, SCHEMA_VERSION};
 pub use record::{decode_any_record, decode_record, encode_record, RECORD_MAGIC};
 
 /// Monotonic counters describing one store handle's traffic.

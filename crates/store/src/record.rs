@@ -1,10 +1,10 @@
 //! Versioned record framing with checksums.
 //!
-//! A record file is fully self-describing:
+//! A record file is one [`crate::bytes::frame`], fully self-describing:
 //!
 //! ```text
 //! magic "FNASTOR1"  (8 bytes, framing version baked in)
-//! canonical key     (35 bytes, see [`CacheKey::encode`])
+//! canonical key     (43 bytes, see [`CacheKey::encode`])
 //! payload length    (u32 LE)
 //! payload           (opaque backend bytes)
 //! checksum          (u64 LE, FNV-1a over everything above)
@@ -16,24 +16,16 @@
 //! against the key the reader asked for, so even a path-digest collision or
 //! a misplaced file degrades to a miss.
 
+use crate::bytes::{frame, unframe};
 use crate::key::{CacheKey, ENCODED_KEY_LEN};
 
 /// Magic prefix of every record file; the trailing digit is the framing
 /// version.
 pub const RECORD_MAGIC: [u8; 8] = *b"FNASTOR1";
 
-/// Fixed overhead of a record frame beyond the payload bytes.
-pub const RECORD_OVERHEAD: usize = RECORD_MAGIC.len() + ENCODED_KEY_LEN + 4 + 8;
-
 /// Frames `payload` under `key` into record bytes.
 pub fn encode_record(key: &CacheKey, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
-    out.extend_from_slice(&RECORD_MAGIC);
-    out.extend_from_slice(&key.encode());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum(&out).to_le_bytes());
-    out
+    frame(&RECORD_MAGIC, &key.encode(), payload)
 }
 
 /// Unframes record bytes written for `key`, returning the payload.
@@ -41,46 +33,16 @@ pub fn encode_record(key: &CacheKey, payload: &[u8]) -> Vec<u8> {
 /// Returns `None` on any framing defect or if the embedded key differs
 /// from `key`.
 pub fn decode_record(bytes: &[u8], key: &CacheKey) -> Option<Vec<u8>> {
-    let embedded = decode_any_record(bytes)?;
-    if embedded.0 != *key {
-        return None;
-    }
-    Some(embedded.1)
+    decode_any_record(bytes)
+        .filter(|(embedded, _)| embedded == key)
+        .map(|(_, payload)| payload)
 }
 
 /// Unframes record bytes without an expected key, returning the embedded
 /// key and payload. Used by `fnas-store verify`.
 pub fn decode_any_record(bytes: &[u8]) -> Option<(CacheKey, Vec<u8>)> {
-    if bytes.len() < RECORD_OVERHEAD {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut stored = [0u8; 8];
-    stored.copy_from_slice(tail);
-    if checksum(body) != u64::from_le_bytes(stored) {
-        return None;
-    }
-    if body[..RECORD_MAGIC.len()] != RECORD_MAGIC {
-        return None;
-    }
-    let key_end = RECORD_MAGIC.len() + ENCODED_KEY_LEN;
-    let key = CacheKey::decode(&body[RECORD_MAGIC.len()..key_end])?;
-    let mut len = [0u8; 4];
-    len.copy_from_slice(&body[key_end..key_end + 4]);
-    let payload = &body[key_end + 4..];
-    if payload.len() != u32::from_le_bytes(len) as usize {
-        return None;
-    }
-    Some((key, payload.to_vec()))
-}
-
-/// FNV-1a 64-bit checksum.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    let (key, payload) = unframe(bytes, &RECORD_MAGIC, ENCODED_KEY_LEN)?;
+    Some((CacheKey::decode(key)?, payload.to_vec()))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The job-identity contract (DESIGN.md §17), pinned.
 //!
-//! Three claims keep every layer honest about what a *job* is:
+//! Two claims keep every layer honest about what a *job* is:
 //!
 //! 1. **The codec is injective.** Two [`JobSpec`]s share an encoding iff
 //!    they are field-for-field the same submission — the property that
@@ -9,23 +9,13 @@
 //!    digests every `FNC1` request, WAL record and store namespace carry
 //!    for these specs; silent codec or hash drift re-keys every artifact
 //!    in the field and must fail CI, not pass quietly.
-//! 3. **v3 checkpoints keep working.** A pre-job (`FNASCKPT` v3)
-//!    snapshot loads as the pinned default job, and a run resumed from
-//!    it is byte-identical to one resumed from the v4 original — at
-//!    every evaluation worker count, because worker count never changes
-//!    results.
 
-use std::path::PathBuf;
-
-use fnas::checkpoint::SearchCheckpoint;
-use fnas::experiment::ExperimentPreset;
 use fnas::job::{JobSpec, OracleBackend};
-use fnas::search::{BatchOptions, CheckpointOptions, SearchConfig, ShardRunner, ShardSpec};
 use proptest::prelude::*;
 
-/// The digest of [`JobSpec::default`] — the identity every pre-v4
-/// artifact inherits. Changing the codec, the hash, or the default spec
-/// moves this constant; that is a breaking change and must look like one.
+/// The digest of [`JobSpec::default`]. Changing the codec, the hash, or
+/// the default spec moves this constant; that is a breaking change and
+/// must look like one.
 const PINNED_DEFAULT_DIGEST: u64 = 0x149B_8DF2_5625_52C6;
 
 /// The digest of a fully-specified spec, covering every optional field's
@@ -133,71 +123,4 @@ proptest! {
                 "distinct specs collided (astronomically unlikely unless the digest broke)");
         }
     }
-}
-
-fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fnas-job-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Strips the v4 job block out of checkpoint bytes and stamps the
-/// version word back to 3 — exactly what a pre-job writer produced.
-fn downgrade_to_v3(v4: &[u8]) -> Vec<u8> {
-    // magic(8) | version(4) | shard(8) | parent_seed(8) | round(8)
-    let header_end = 8 + 4 + 4 + 4 + 8 + 8;
-    let n = u64::from_le_bytes(v4[header_end..header_end + 8].try_into().unwrap()) as usize;
-    let mut out = Vec::with_capacity(v4.len() - 8 - n);
-    out.extend_from_slice(&v4[..header_end]);
-    out.extend_from_slice(&v4[header_end + 8 + n..]);
-    out[8..12].copy_from_slice(&3u32.to_le_bytes());
-    out
-}
-
-#[test]
-fn v3_snapshots_load_as_the_default_job_and_resume_identically() {
-    let dir = tmp("v3v4");
-    let config = SearchConfig::fnas(ExperimentPreset::mnist().with_trials(8), 10.0).with_seed(5);
-    let init_v4 = dir.join("init.ckpt");
-    ShardRunner::write_init(&config, &init_v4).unwrap();
-
-    let v4 = std::fs::read(&init_v4).unwrap();
-    let v3 = downgrade_to_v3(&v4);
-    let init_v3 = dir.join("init-v3.ckpt");
-    std::fs::write(&init_v3, &v3).unwrap();
-
-    // The v4 original carries this config's job; the v3 downgrade (no
-    // job block at all) loads as the pinned default.
-    assert_eq!(
-        SearchCheckpoint::from_bytes(&v4).unwrap().job,
-        config.job().clone()
-    );
-    assert_eq!(
-        SearchCheckpoint::from_bytes(&v3).unwrap().job,
-        JobSpec::default()
-    );
-
-    // Resuming the same shard from either snapshot produces the same
-    // bytes, and the evaluation worker count never matters.
-    let mut outputs: Vec<Vec<u8>> = Vec::new();
-    for workers in [0usize, 1, 2, 8] {
-        let opts = BatchOptions::default()
-            .with_batch_size(4)
-            .with_workers(workers);
-        for (tag, init) in [("v4", &init_v4), ("v3", &init_v3)] {
-            let out = dir.join(format!("out-{tag}-{workers}.ckpt"));
-            ShardRunner::new(config.clone(), ShardSpec::new(0, 2).unwrap())
-                .run_stored(&opts, init, &CheckpointOptions::new(&out), None)
-                .unwrap();
-            outputs.push(std::fs::read(&out).unwrap());
-        }
-    }
-    for pair in outputs.windows(2) {
-        assert_eq!(
-            pair[0], pair[1],
-            "v3/v4 inits or worker counts changed the resumed bytes"
-        );
-    }
-    std::fs::remove_dir_all(dir).unwrap();
 }

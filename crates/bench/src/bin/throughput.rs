@@ -42,13 +42,13 @@
 //! namespaces and a shared (job-agnostic) oracle cache.
 //!
 //! Part 7: multi-tenant serving (DESIGN.md §18). The same two jobs run
-//! twice over real TCP: solo (one dedicated `fnas-coord` fleet each,
-//! back to back) and multiplexed (one `fnas-serve` daemon, one shared
-//! job-agnostic fleet). Both jobs must finish byte-identical to their
-//! solo merges, and the shared fleet's utilization — settled shards per
-//! worker-second — must beat the back-to-back baseline, because the
-//! scheduler keeps workers busy on job B whenever job A has no
-//! assignable shard.
+//! twice over real TCP: solo (a one-job server — what `fnas-coord serve`
+//! runs — and a dedicated fleet each, back to back) and multiplexed (one
+//! server, one shared fleet). Both jobs must finish byte-identical to
+//! their solo merges, and the shared fleet's utilization — settled
+//! shards per worker-second — must beat the back-to-back baseline,
+//! because the scheduler keeps workers busy on job B whenever job A has
+//! no assignable shard.
 //!
 //! Run with: `cargo run --release -p fnas-bench --bin throughput`
 
@@ -64,10 +64,7 @@ use fnas::resilience::{FaultInjector, FaultPlan, ResilientEvaluator, RetryPolicy
 use fnas::search::{BatchOptions, SearchConfig, Searcher};
 use fnas_bench::{emit, fig8_architectures};
 use fnas_controller::arch::ChildArch;
-use fnas_coord::{
-    run_fleet_worker, run_worker, Clock, Coordinator, CoordinatorOptions, LeasePolicy, Response,
-    WallClock, WorkerOptions,
-};
+use fnas_coord::{run_fleet_worker, Clock, LeasePolicy, Response, WallClock, WorkerOptions};
 use fnas_exec::Executor;
 use fnas_fpga::analyzer::pipeline_interval;
 use fnas_fpga::design::PipelineDesign;
@@ -558,11 +555,11 @@ fn jobs_shared_store() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// Part 7: multi-tenant serving (DESIGN.md §18). Runs two
-/// differently-specced jobs solo (a dedicated coordinator + fleet each,
-/// back to back) and then multiplexed over one `fnas-serve` daemon with
-/// one shared fleet, all over real TCP. Byte identity per job is
-/// asserted; the table reports wall time and fleet utilization
-/// (settled shards per worker-second) for each arm.
+/// differently-specced jobs solo (a one-job server and a dedicated fleet
+/// each, back to back) and then multiplexed over one server with one
+/// shared fleet, all over real TCP. Byte identity per job is asserted;
+/// the table reports wall time and fleet utilization (settled shards per
+/// worker-second) for each arm.
 fn serve_sweep() -> Result<(), Box<dyn std::error::Error>> {
     const WORKERS: usize = 3;
     const SHARDS: u32 = 2;
@@ -581,29 +578,37 @@ fn serve_sweep() -> Result<(), Box<dyn std::error::Error>> {
             .with_workers(0)
     };
 
-    // Solo arm: the job gets WORKERS dedicated pinned-mode workers and a
-    // coordinator of its own. With more workers than shards, someone is
-    // always idle — the slack the serve arm will fill with the other job.
-    let solo = |cfg: &SearchConfig,
-                tag: &str|
-     -> Result<(f64, u64, Vec<u8>), Box<dyn std::error::Error>> {
+    // One arm: a server expecting `cfgs`, fed by WORKERS fleet workers.
+    // Returns the wall time, the shards run and each job's merged
+    // checkpoint. With more workers than shards, a one-job arm always
+    // has someone idle — the slack the two-job arm fills.
+    type Arm = (f64, u64, Vec<Vec<u8>>);
+    let run_arm = |cfgs: &[&SearchConfig], tag: &str| -> Result<Arm, Box<dyn std::error::Error>> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
-        let coord_opts = CoordinatorOptions {
-            shards: SHARDS,
-            rounds: ROUNDS,
-            lease: LeasePolicy::with_ttl_ms(5_000),
+        let serve_opts = ServeOptions {
+            max_jobs: 4,
+            expect_jobs: cfgs.len(),
+            quantum: 1,
             backoff_ms: 20,
             linger_ms: LINGER_MS,
+            lease: LeasePolicy::with_ttl_ms(5_000),
             max_buffered_rounds: 2,
         };
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-        let coord = Arc::new(Coordinator::new(cfg.clone(), BATCH, coord_opts, clock)?);
+        let server = Arc::new(Server::new(&dir.join(tag), serve_opts, clock)?);
         let start = Instant::now();
         let serve = {
-            let coord = Arc::clone(&coord);
-            std::thread::spawn(move || coord.serve(listener))
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.run(listener))
         };
+        let mut jobs = Vec::new();
+        for cfg in cfgs {
+            match client::submit_job(&addr, cfg.job(), BATCH as u32, SHARDS, ROUNDS)? {
+                Response::JobAccepted { job } => jobs.push(job),
+                other => return Err(format!("job not accepted: {other:?}").into()),
+            }
+        }
         let workers: Vec<_> = (0..WORKERS)
             .map(|i| {
                 let mut w = WorkerOptions::new(
@@ -612,76 +617,37 @@ fn serve_sweep() -> Result<(), Box<dyn std::error::Error>> {
                     dir.join(format!("{tag}-{i}")),
                 );
                 w.heartbeat_ms = 50;
-                let cfg = cfg.clone();
-                std::thread::spawn(move || run_worker(&cfg, &run_opts(), &w, SHARDS, ROUNDS))
+                std::thread::spawn(move || run_fleet_worker(&run_opts(), &w))
             })
             .collect();
-        let merged = serve.join().expect("serve thread")?;
+        serve.join().expect("serve thread")?;
         let wall = start.elapsed().as_secs_f64();
         let mut shards_run = 0;
         for handle in workers {
             shards_run += handle.join().expect("worker thread")?.shards_run;
         }
-        Ok((wall, shards_run, merged.to_bytes()))
-    };
-    let (wall_a, shards_a, ref_a) = solo(&cfg_a, "solo-a")?;
-    let (wall_b, shards_b, ref_b) = solo(&cfg_b, "solo-b")?;
-
-    // Serve arm: one daemon, both jobs, one shared job-agnostic fleet.
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?.to_string();
-    let serve_opts = ServeOptions {
-        max_jobs: 4,
-        expect_jobs: 2,
-        quantum: 1,
-        backoff_ms: 20,
-        linger_ms: LINGER_MS,
-        lease: LeasePolicy::with_ttl_ms(5_000),
-        max_buffered_rounds: 2,
-    };
-    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-    let server = Arc::new(Server::new(&dir.join("serve"), serve_opts, clock)?);
-    let start = Instant::now();
-    let serve = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.run(listener))
-    };
-    let mut jobs = Vec::new();
-    for cfg in [&cfg_a, &cfg_b] {
-        match client::submit_job(&addr, cfg.job(), BATCH as u32, SHARDS, ROUNDS)? {
-            Response::JobAccepted { job } => jobs.push(job),
-            other => return Err(format!("job not accepted: {other:?}").into()),
-        }
-    }
-    let workers: Vec<_> = (0..WORKERS)
-        .map(|i| {
-            let mut w = WorkerOptions::new(
-                addr.clone(),
-                format!("fleet-{i}"),
-                dir.join(format!("fleet-{i}")),
+        let mut merged = Vec::new();
+        for job in jobs {
+            merged.push(
+                server
+                    .store()
+                    .get_artifact(job, "merged.ckpt")
+                    .ok_or_else(|| format!("job {job:#018x} published no merged checkpoint"))?,
             );
-            w.heartbeat_ms = 50;
-            std::thread::spawn(move || run_fleet_worker(&run_opts(), &w))
-        })
-        .collect();
-    serve.join().expect("serve thread")?;
-    let serve_wall = start.elapsed().as_secs_f64();
-    let mut serve_shards = 0;
-    for handle in workers {
-        serve_shards += handle.join().expect("worker thread")?.shards_run;
-    }
+        }
+        Ok((wall, shards_run, merged))
+    };
+    let (wall_a, shards_a, ref_a) = run_arm(&[&cfg_a], "solo-a")?;
+    let (wall_b, shards_b, ref_b) = run_arm(&[&cfg_b], "solo-b")?;
+    let (serve_wall, serve_shards, merged) = run_arm(&[&cfg_a, &cfg_b], "fleet")?;
 
     // CI runs this bin and relies on these asserts: multi-tenancy may
     // never change either job's bytes, and multiplexing must beat the
     // back-to-back baseline on fleet utilization.
-    for (job, reference) in jobs.iter().zip([&ref_a, &ref_b]) {
-        let merged = server
-            .store()
-            .get_artifact(*job, "merged.ckpt")
-            .ok_or_else(|| format!("job {job:#018x} published no merged checkpoint"))?;
+    for (merged, reference) in merged.iter().zip(ref_a.iter().chain(&ref_b)) {
         assert_eq!(
-            &merged, reference,
-            "job {job:#018x} diverged from its solo run under multi-tenancy"
+            merged, reference,
+            "a job diverged from its solo run under multi-tenancy"
         );
     }
     let util = |shards: u64, wall: f64| shards as f64 / (WORKERS as f64 * wall);

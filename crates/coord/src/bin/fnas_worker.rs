@@ -1,51 +1,30 @@
-//! `fnas-worker` — serve shards to an `fnas-coord` coordinator.
+//! `fnas-worker` — run shards for an `fnas-coord` or `fnas-serve`
+//! endpoint.
 //!
 //! ```text
-//! fnas-worker --connect 127.0.0.1:7463 --dir scratch --name w1 \
-//!     --shards 4 --rounds 2 [config flags]
-//! fnas-worker --fleet --connect 127.0.0.1:7464 --dir scratch --name w1
+//! fnas-worker --connect 127.0.0.1:7463 --dir scratch --name w1
 //! ```
 //!
-//! In the default (pinned) mode the job flags (`--preset`, `--device`,
-//! `--trials`, `--seed`, `--budget-ms`) and
-//! `--batch`/`--shards`/`--rounds` must match the coordinator's — the
-//! job-digest and fingerprint handshakes reject a mismatch on the first
-//! poll (`WrongJob` when the *search* differs, a fingerprint error when
-//! only the execution flags do).
-//!
-//! With `--fleet` the worker is **job-agnostic**: it polls an
-//! `fnas-serve` endpoint with `PollAny` and resolves each job from the
-//! spec bytes its assignment carries, so one fleet serves every
-//! submitted job and the job flags are ignored.
-//! `--workers` (evaluation threads) is the one knob that may differ per
-//! machine in either mode: shard results are bit-identical for any
-//! worker count.
+//! The worker is **job-agnostic** and takes no job flags: it polls with
+//! `PollAny` and resolves each job from the spec bytes its assignment
+//! carries, so one fleet serves every job an endpoint schedules.
+//! `--workers` (evaluation threads) may differ per machine: shard results
+//! are bit-identical for any worker count.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fnas::job::cli::{Args, JOB_USAGE};
-use fnas::job::JobSpec;
-use fnas::search::{BatchOptions, SearchConfig};
-use fnas_coord::{run_fleet_worker, run_worker, WorkerOptions};
+use fnas::job::cli::Args;
+use fnas::search::BatchOptions;
+use fnas_coord::{run_fleet_worker, WorkerOptions};
 
 struct Cli {
     worker: WorkerOptions,
-    config: SearchConfig,
     opts: BatchOptions,
-    shards: u32,
-    rounds: u64,
-    fleet: bool,
 }
 
 const USAGE: &str = "usage: fnas-worker --connect <addr:port> --dir <scratch-dir> [options]
-  --fleet                 job-agnostic mode against an fnas-serve endpoint:
-                          jobs are resolved from each assignment's spec
-                          bytes, so the job flags below are ignored
   --name <s>              worker name (default: pid-derived)
-  --shards <N>            shards per round (must match the coordinator)
-  --rounds <R>            synchronous rounds (must match the coordinator)
-  --batch <B>             children per episode (default 8, must match)
   --workers <W>           evaluation threads (free to differ per machine)
   --heartbeat-ms <X>      lease heartbeat cadence (default 1000)
   --connect-retries <N>   request attempts before giving up (default 20)
@@ -55,40 +34,23 @@ const USAGE: &str = "usage: fnas-worker --connect <addr:port> --dir <scratch-dir
   --store-dir <dir>       on-disk latency store shared across rounds
                           (free to differ per machine; never changes results)";
 
-/// The full usage block: bin-specific flags plus the shared job flags
-/// (which must all match the coordinator's).
-fn usage() -> String {
-    format!("{USAGE}\n{JOB_USAGE}")
-}
-
 fn parse(args: &[String]) -> Result<Cli, String> {
-    let (job, rest) = JobSpec::from_args(args)?;
-    let config = job.resolve().map_err(|e| e.to_string())?;
-
     let mut connect = None;
     let mut dir = None;
     let mut name = None;
-    let mut batch = None;
     let mut workers = None;
-    let mut shards = 4u32;
-    let mut rounds = 1u64;
     let mut heartbeat_ms = 1_000u64;
     let mut connect_retries = None;
     let mut connect_backoff_ms = None;
     let mut store_dir = None;
-    let mut fleet = false;
 
-    let mut a = Args::new(&rest);
+    let mut a = Args::new(args);
     while let Some(flag) = a.next_flag() {
         match flag {
-            "--fleet" => fleet = true,
             "--connect" => connect = Some(a.value()?.to_string()),
             "--dir" => dir = Some(PathBuf::from(a.value()?)),
             "--name" => name = Some(a.value()?.to_string()),
-            "--batch" => batch = Some(a.num::<usize>()?),
             "--workers" => workers = Some(a.num::<usize>()?),
-            "--shards" => shards = a.num::<u32>()?,
-            "--rounds" => rounds = a.num::<u64>()?,
             "--heartbeat-ms" => heartbeat_ms = a.num::<u64>()?,
             "--connect-retries" => connect_retries = Some(a.num::<u32>()?),
             "--connect-backoff-ms" => connect_backoff_ms = Some(a.num::<u64>()?),
@@ -100,9 +62,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     let mut opts = BatchOptions::default();
     if let Some(w) = workers {
         opts = opts.with_workers(w);
-    }
-    if let Some(b) = batch {
-        opts = opts.with_batch_size(b);
     }
     let connect = connect.ok_or("--connect is required")?;
     let dir = dir.ok_or("--dir is required")?;
@@ -116,14 +75,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         worker.connect_backoff_ms = b;
     }
     worker.store_dir = store_dir;
-    Ok(Cli {
-        worker,
-        config,
-        opts,
-        shards,
-        rounds,
-        fleet,
-    })
+    Ok(Cli { worker, opts })
 }
 
 fn main() -> ExitCode {
@@ -131,16 +83,11 @@ fn main() -> ExitCode {
     let cli = match parse(&args) {
         Ok(cli) => cli,
         Err(e) => {
-            eprintln!("fnas-worker: {e}\n{}", usage());
+            eprintln!("fnas-worker: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let result = if cli.fleet {
-        run_fleet_worker(&cli.opts, &cli.worker)
-    } else {
-        run_worker(&cli.config, &cli.opts, &cli.worker, cli.shards, cli.rounds)
-    };
-    match result {
+    match run_fleet_worker(&cli.opts, &cli.worker) {
         Ok(report) => {
             println!(
                 "{}: ran {} shards ({} fresh, {} duplicate, {} stale), \
@@ -171,16 +118,18 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn cli(line: &str) -> Result<Cli, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
     #[test]
     fn parses_the_documented_flags() {
-        let args: Vec<String> =
-            "--connect 127.0.0.1:7463 --dir /tmp/w --name w1 --shards 4 --rounds 2 \
-             --trials 24 --seed 77 --batch 3 --workers 2 --heartbeat-ms 200 \
-             --connect-retries 40 --connect-backoff-ms 50 --store-dir /tmp/store"
-                .split_whitespace()
-                .map(String::from)
-                .collect();
-        let c = parse(&args).unwrap();
+        let c = cli(
+            "--connect 127.0.0.1:7463 --dir /tmp/w --name w1 --workers 2 --heartbeat-ms 200 \
+             --connect-retries 40 --connect-backoff-ms 50 --store-dir /tmp/store",
+        )
+        .unwrap();
         assert_eq!(c.worker.addr, "127.0.0.1:7463");
         assert_eq!(c.worker.name, "w1");
         assert_eq!(c.worker.heartbeat_ms, 200);
@@ -190,29 +139,36 @@ mod tests {
             c.worker.store_dir.as_deref(),
             Some(std::path::Path::new("/tmp/store"))
         );
-        assert_eq!((c.shards, c.rounds), (4, 2));
-        assert_eq!(c.config.seed(), 77);
-        assert_eq!(c.opts.batch_size(), 3);
         assert_eq!(c.opts.workers(), 2);
-        assert!(!c.fleet);
-    }
-
-    #[test]
-    fn fleet_mode_needs_no_job_flags() {
-        let args: Vec<String> = "--fleet --connect 127.0.0.1:7464 --dir /tmp/w --name f1"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let c = parse(&args).unwrap();
-        assert!(c.fleet);
-        assert_eq!(c.worker.addr, "127.0.0.1:7464");
     }
 
     #[test]
     fn rejects_missing_connect_or_dir() {
         for bad in ["--dir /tmp/w", "--connect 1.2.3.4:5"] {
-            let args: Vec<String> = bad.split_whitespace().map(String::from).collect();
-            assert!(parse(&args).is_err(), "{bad:?} should be rejected");
+            assert!(cli(bad).is_err(), "{bad:?} should be rejected");
+        }
+    }
+
+    /// The job and run-shape flags of the removed pinned mode are unknown
+    /// flags, so an old command line fails at start instead of quietly
+    /// serving whatever job the endpoint hands out.
+    #[test]
+    fn pinned_mode_flags_are_unknown() {
+        for flag in [
+            "--preset",
+            "--device",
+            "--trials",
+            "--seed",
+            "--budget-ms",
+            "--shards",
+            "--rounds",
+            "--batch",
+            "--fleet",
+        ] {
+            let err = cli(&format!("--connect 127.0.0.1:7463 --dir /tmp/w {flag} 1"))
+                .err()
+                .unwrap_or_else(|| panic!("{flag} should be rejected"));
+            assert_eq!(err, format!("unknown flag {flag}"));
         }
     }
 }

@@ -6,8 +6,8 @@
 //! request handler ([`Coordinator::handle`]) is plain synchronous code
 //! with no networking in it, so the whole state machine (barrier,
 //! re-dispatch, duplicate settlement, round advance) is unit-testable by
-//! calling it directly; [`Coordinator::serve`] is a thin TCP shell —
-//! non-blocking accept loop, one short-lived thread per connection.
+//! calling it directly. The network shell is `fnas_serve::Server`, which
+//! hosts one coordinator per admitted job behind its one accept loop.
 //!
 //! **Determinism boundary.** The coordinator takes wall-clock decisions
 //! (who runs what, when to speculate) but produces results purely by
@@ -19,8 +19,8 @@
 //! `duplicate results`), which is process-local and never persisted into
 //! checkpoints.
 //!
-//! **Crash safety.** With a journal attached
-//! ([`Coordinator::with_journal`]) every committed transition is
+//! **Crash safety.** Every coordinator is journaled
+//! ([`Coordinator::with_journal`]): every committed transition is
 //! WAL-logged and settled shard bytes are spilled to disk before they
 //! are acknowledged, so a killed coordinator restarts into the same
 //! round with the same settlements (DESIGN.md §15). Each incarnation
@@ -28,15 +28,12 @@
 //! submissions carrying a dead incarnation's epoch are fenced off with
 //! [`Response::Stale`] instead of racing the recovered round.
 
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use fnas::checkpoint::SearchCheckpoint;
-use fnas::search::SearchConfig;
+use fnas::search::{SearchConfig, ShardRunner, ShardSpec};
 use fnas::{FnasError, Result};
 use fnas_exec::SearchTelemetry;
 use fnas_store::bytes::checksum;
@@ -44,7 +41,7 @@ use fnas_store::bytes::checksum;
 use crate::clock::Clock;
 use crate::journal::{self, Journal, WalRecord};
 use crate::lease::{LeasePolicy, LeaseTable};
-use crate::proto::{answer, config_fingerprint, Request, Response};
+use crate::proto::{config_fingerprint, Request, Response};
 use crate::rounds::{accumulate, init_for_round, merge_settled};
 
 /// Scheduling knobs of a coordinated run.
@@ -58,10 +55,6 @@ pub struct CoordinatorOptions {
     pub lease: LeasePolicy,
     /// Backoff suggested to workers when nothing is assignable.
     pub backoff_ms: u64,
-    /// How long [`Coordinator::serve`] keeps answering `Finished` after
-    /// the last merge, so late pollers learn the run is over instead of
-    /// hitting a dead port.
-    pub linger_ms: u64,
     /// Memory cap on concurrently held `Submit` payloads, expressed in
     /// rounds: at most `max_buffered_rounds × shards` submissions are
     /// processed at once; excess submitters get [`Response::Retry`] and
@@ -78,7 +71,6 @@ impl CoordinatorOptions {
             rounds,
             lease: LeasePolicy::with_ttl_ms(5_000),
             backoff_ms: 50,
-            linger_ms: 500,
             max_buffered_rounds: 2,
         }
     }
@@ -93,17 +85,14 @@ struct RoundState {
     init_bytes: Vec<u8>,
     /// Lease state of the current round's shards.
     table: LeaseTable,
-    /// Byte-settled shards of *completed* rounds, for byte-comparing
-    /// replicas that report after their round's barrier already fell.
-    /// Empty when a journal is attached: the spill files hold those
-    /// bytes, so completed rounds cost the coordinator no memory.
-    settled: Vec<Vec<Vec<u8>>>,
     /// Merged checkpoint of each completed round.
     merges: Vec<SearchCheckpoint>,
     /// The accumulated final checkpoint, once every round is merged.
     finished: Option<SearchCheckpoint>,
-    /// The write-ahead round journal, when crash safety is on.
-    journal: Option<Journal>,
+    /// The write-ahead round journal. Its spill files also hold the
+    /// settled bytes of completed rounds, for byte-comparing replicas
+    /// that report after their round's barrier already fell.
+    journal: Journal,
 }
 
 /// The coordinator of one run. See the module docs.
@@ -123,7 +112,7 @@ pub struct Coordinator {
     batch: usize,
     fingerprint: u64,
     /// This incarnation's epoch: how many coordinator incarnations the
-    /// journal saw before this one (always 0 without a journal).
+    /// journal saw before this one.
     epoch: u64,
     opts: CoordinatorOptions,
     clock: Arc<dyn Clock>,
@@ -135,54 +124,13 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Builds the coordinator and freezes round 0's init snapshot.
+    /// Builds the coordinator of one run, journaled under `dir`.
     ///
     /// `batch` is the per-episode batch size every worker must use (it
     /// determines results, so it is folded into the fingerprint).
     ///
-    /// # Errors
-    ///
-    /// [`FnasError::InvalidConfig`] for zero shards/rounds or a trial
-    /// budget that leaves shards empty; searcher construction errors
-    /// from the init freeze.
-    pub fn new(
-        base: SearchConfig,
-        batch: usize,
-        opts: CoordinatorOptions,
-        clock: Arc<dyn Clock>,
-    ) -> Result<Self> {
-        Self::validate(&opts)?;
-        let job = base.job().job_digest();
-        let fingerprint = config_fingerprint(&base, batch, opts.shards, opts.rounds);
-        let init = init_for_round(&base, 0, None)?;
-        let table = LeaseTable::new(opts.shards, opts.lease);
-        let spec_bytes = base.job().encode();
-        Ok(Coordinator {
-            base,
-            job,
-            spec_bytes,
-            batch,
-            fingerprint,
-            epoch: 0,
-            clock,
-            telemetry: Arc::new(SearchTelemetry::new()),
-            state: Mutex::new(RoundState {
-                round: 0,
-                init_bytes: init.to_bytes(),
-                table,
-                settled: Vec::new(),
-                merges: Vec::new(),
-                finished: None,
-                journal: None,
-            }),
-            opts,
-            in_flight_submits: AtomicUsize::new(0),
-        })
-    }
-
-    /// [`Coordinator::new`] with a crash-safe round journal under `dir`.
-    ///
-    /// On a fresh directory this is a journaled cold start (epoch 0).
+    /// On a fresh directory this is a cold start (epoch 0) that freezes
+    /// round 0's init snapshot.
     /// On a directory left by a previous incarnation it **recovers**:
     /// the WAL's clean prefix is replayed, every completed round whose
     /// spill files all pass their checksums is re-merged (bit-exactly —
@@ -195,10 +143,12 @@ impl Coordinator {
     ///
     /// # Errors
     ///
-    /// [`Coordinator::new`]'s, I/O errors opening or appending the
-    /// journal, and [`FnasError::InvalidConfig`] when the journal was
-    /// written by a different job or by a run with a different config
-    /// fingerprint.
+    /// [`FnasError::InvalidConfig`] for zero shards or rounds, for more
+    /// shards than the trial budget can fill (both checked before `dir`
+    /// is touched), and when the journal was written by a different job
+    /// or by a run with a different config fingerprint; I/O errors
+    /// opening or appending the journal; searcher construction errors
+    /// from the init freeze.
     pub fn with_journal(
         base: SearchConfig,
         batch: usize,
@@ -206,7 +156,7 @@ impl Coordinator {
         clock: Arc<dyn Clock>,
         dir: &Path,
     ) -> Result<Self> {
-        Self::validate(&opts)?;
+        Self::validate(&base, &opts)?;
         let job = base.job().job_digest();
         let fingerprint = config_fingerprint(&base, batch, opts.shards, opts.rounds);
         let (mut journal, records) = Journal::open(dir)?;
@@ -219,7 +169,7 @@ impl Coordinator {
                 return Err(FnasError::InvalidConfig {
                     what: format!(
                         "journal at {} belongs to job {j:#018x}, not this job {job:#018x}; \
-                         use a fresh --journal-dir or the original job flags",
+                         use a fresh directory or the original job flags",
                         dir.display()
                     ),
                 });
@@ -230,7 +180,7 @@ impl Coordinator {
                 return Err(FnasError::InvalidConfig {
                     what: format!(
                         "journal at {} belongs to run {fp:#018x}, not this run \
-                         {fingerprint:#018x}; use a fresh --journal-dir or the original flags",
+                         {fingerprint:#018x}; use a fresh directory or the original flags",
                         dir.display()
                     ),
                 });
@@ -318,17 +268,16 @@ impl Coordinator {
                 round: current,
                 init_bytes,
                 table,
-                settled: Vec::new(),
                 merges,
                 finished,
-                journal: Some(journal),
+                journal,
             }),
             opts,
             in_flight_submits: AtomicUsize::new(0),
         })
     }
 
-    fn validate(opts: &CoordinatorOptions) -> Result<()> {
+    fn validate(base: &SearchConfig, opts: &CoordinatorOptions) -> Result<()> {
         if opts.shards == 0 || opts.rounds == 0 {
             return Err(FnasError::InvalidConfig {
                 what: format!(
@@ -337,6 +286,11 @@ impl Coordinator {
                 ),
             });
         }
+        // The last shard has the smallest trial share: if it has trials,
+        // every shard does. Refused here, before anything is allocated
+        // per shard, rather than by the first worker to draw an empty one.
+        let last = ShardSpec::new(opts.shards - 1, opts.shards)?;
+        ShardRunner::new(base.clone(), last).config()?;
         Ok(())
     }
 
@@ -351,7 +305,7 @@ impl Coordinator {
         self.job
     }
 
-    /// This incarnation's epoch (0 for a fresh run or no journal).
+    /// This incarnation's epoch (0 for a fresh journal).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -406,21 +360,17 @@ impl Coordinator {
     /// Answers one request. This is the entire protocol semantics; the
     /// TCP layer only moves frames.
     pub fn handle(&self, request: &Request) -> Response {
-        // Job identity first: a worker pointed at a different job (say, a
-        // different --budget-ms, which moves the fingerprint too) learns
-        // *which* mismatch it has — the job — deterministically, before
-        // the fingerprint or any state is consulted.
+        // Job identity first: a heartbeat or submit naming another job
+        // learns *which* mismatch it has — the job — deterministically,
+        // before the fingerprint or any state is consulted.
         let (job, fp) = match request {
-            Request::Poll {
-                job, fingerprint, ..
-            }
-            | Request::Heartbeat {
+            Request::Heartbeat {
                 job, fingerprint, ..
             }
             | Request::Submit {
                 job, fingerprint, ..
             } => (*job, *fingerprint),
-            // The fleet verb names no identities up front: the worker
+            // The poll verb names no identities up front: the worker
             // learns the job from the `Assign` it is handed (spec bytes +
             // batch + rounds) and proves agreement on every later
             // Heartbeat/Submit, where the usual fences apply.
@@ -428,16 +378,17 @@ impl Coordinator {
                 let mut state = self.state.lock().expect("coordinator lock");
                 return self.poll(&mut state, worker);
             }
-            // Client verbs are a multi-job surface (`fnas-serve`,
-            // DESIGN.md §18); a single pinned-job coordinator rejects
-            // them deterministically rather than half-answering.
+            // Client verbs are answered by the server hosting the
+            // coordinator (`fnas-serve`, DESIGN.md §18); one job's
+            // coordinator rejects them deterministically rather than
+            // half-answering.
             Request::SubmitJob { .. }
             | Request::JobStatus { .. }
             | Request::ListJobs
             | Request::CancelJob { .. }
             | Request::WatchProgress { .. } => {
                 return Response::Error {
-                    what: "this endpoint coordinates one pinned job; client verbs \
+                    what: "a job's coordinator answers worker verbs only; client verbs \
                            (SubmitJob/JobStatus/ListJobs/CancelJob/WatchProgress) \
                            need a fnas-serve endpoint"
                         .to_string(),
@@ -473,7 +424,6 @@ impl Coordinator {
         }
         let mut state = self.state.lock().expect("coordinator lock");
         match request {
-            Request::Poll { worker, .. } => self.poll(&mut state, worker),
             Request::Heartbeat {
                 worker,
                 round,
@@ -530,18 +480,9 @@ impl Coordinator {
         // against the recorded bytes — the byte-compare assertion holds
         // across the barrier, not just within a round.
         if round < state.round || state.finished.is_some() {
-            // The recorded bytes live in the journal's spill files when
-            // one is attached (completed rounds are not kept in memory),
-            // in `state.settled` otherwise.
-            let recorded = match &state.journal {
-                Some(journal) => journal.load_spill(round, shard),
-                None => state
-                    .settled
-                    .get(round as usize)
-                    .and_then(|r| r.get(shard as usize))
-                    .cloned(),
-            };
-            return match recorded {
+            // The recorded bytes live in the journal's spill files;
+            // completed rounds are not kept in memory.
+            return match state.journal.load_spill(round, shard) {
                 Some(first) if first == bytes => {
                     self.telemetry.add_duplicate_result();
                     Response::Accepted { fresh: false }
@@ -590,10 +531,7 @@ impl Coordinator {
     /// a failed write only means the settlement is re-earned after a
     /// crash (bit-exactly, by determinism) — the live round proceeds.
     fn journal_settle(&self, state: &mut RoundState, round: u64, shard: u32, bytes: &[u8]) {
-        let Some(journal) = state.journal.as_mut() else {
-            return;
-        };
-        let Ok(checksum) = journal.spill_shard(round, shard, bytes) else {
+        let Ok(checksum) = state.journal.spill_shard(round, shard, bytes) else {
             return;
         };
         let record = WalRecord::ShardSettled {
@@ -603,18 +541,14 @@ impl Coordinator {
             len: bytes.len() as u64,
             checksum,
         };
-        if journal.append(&record).is_ok() {
-            self.telemetry.add_journal_record();
-        }
+        self.journal_append(state, record);
     }
 
-    /// Appends one record to the journal, if any, soft-failing like
+    /// Appends one record to the journal, soft-failing like
     /// [`Coordinator::journal_settle`].
     fn journal_append(&self, state: &mut RoundState, record: WalRecord) {
-        if let Some(journal) = state.journal.as_mut() {
-            if journal.append(&record).is_ok() {
-                self.telemetry.add_journal_record();
-            }
+        if state.journal.append(&record).is_ok() {
+            self.telemetry.add_journal_record();
         }
     }
 
@@ -628,23 +562,14 @@ impl Coordinator {
             .map(<[u8]>::to_vec)
             .collect();
         let merged = merge_settled(&done)?;
-        let merged_round = state.round;
-        if state.journal.is_some() {
-            let checksum = checksum(&merged.to_bytes());
-            self.journal_append(
-                state,
-                WalRecord::RoundMerged {
-                    epoch: self.epoch,
-                    round: merged_round,
-                    checksum,
-                },
-            );
-        } else {
-            // No journal: the settled bytes must stay in memory for the
-            // cross-barrier byte-compare (journaled runs read the spill
-            // files instead).
-            state.settled.push(done);
-        }
+        self.journal_append(
+            state,
+            WalRecord::RoundMerged {
+                epoch: self.epoch,
+                round: state.round,
+                checksum: checksum(&merged.to_bytes()),
+            },
+        );
         state.merges.push(merged);
         if state.round + 1 < self.opts.rounds {
             state.round += 1;
@@ -666,37 +591,6 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Serves the protocol on `listener` until every round has merged,
-    /// then lingers `linger_ms` (so late pollers hear `Finished`) and
-    /// returns the final checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Listener I/O errors. Per-connection errors (a peer that hangs up
-    /// mid-frame, a malformed request) are contained to that connection.
-    pub fn serve(self: &Arc<Self>, listener: TcpListener) -> Result<SearchCheckpoint> {
-        listener.set_nonblocking(true)?;
-        let mut finished_at: Option<Instant> = None;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let me = Arc::clone(self);
-                    std::thread::spawn(move || me.handle_connection(stream));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e.into()),
-            }
-            if let Some(ckpt) = self.finished_checkpoint() {
-                let at = *finished_at.get_or_insert_with(Instant::now);
-                if at.elapsed() >= Duration::from_millis(self.opts.linger_ms) {
-                    return Ok(ckpt);
-                }
-            }
-        }
-    }
-
     /// The admission cap on concurrently held submit payloads.
     fn submit_cap(&self) -> usize {
         self.opts.max_buffered_rounds.max(1) * self.opts.shards as usize
@@ -705,8 +599,8 @@ impl Coordinator {
     /// Claims one slot of the submit-payload budget, or `None` when the
     /// cap is reached — the caller should answer [`Response::Retry`] and
     /// drop the payload. The slot is released when the guard drops.
-    /// Public so network shells (and the admission-saturation tests) can
-    /// drive the cap directly.
+    /// Public so the admission-saturation tests can drive the cap
+    /// directly.
     pub fn try_admit_submit(&self) -> Option<SubmitSlot<'_>> {
         let prev = self.in_flight_submits.fetch_add(1, Ordering::SeqCst);
         if prev >= self.submit_cap() {
@@ -718,8 +612,8 @@ impl Coordinator {
     }
 
     /// [`Coordinator::handle`] with the submit-admission cap applied —
-    /// the entry point every network shell (this crate's serve loop and
-    /// `fnas-serve`) uses. A deferred submission is answered with
+    /// the entry point the network shell (`fnas_serve::Server`) routes
+    /// worker verbs through. A deferred submission is answered with
     /// [`Response::Retry`] and counted in telemetry (`retries served`).
     pub fn handle_with_admission(&self, request: &Request) -> Response {
         if matches!(request, Request::Submit { .. }) {
@@ -734,10 +628,6 @@ impl Coordinator {
         } else {
             self.handle(request)
         }
-    }
-
-    fn handle_connection(&self, stream: TcpStream) {
-        answer(stream, |request| self.handle_with_admission(request));
     }
 }
 
@@ -787,18 +677,6 @@ mod tests {
         SearchConfig::fnas(ExperimentPreset::mnist().with_trials(8), 10.0).with_seed(5)
     }
 
-    fn coordinator(shards: u32, rounds: u64) -> (Arc<Coordinator>, Arc<ManualClock>) {
-        let clock = Arc::new(ManualClock::new());
-        let coord = Coordinator::new(
-            base(),
-            4,
-            CoordinatorOptions::new(shards, rounds),
-            Arc::<ManualClock>::clone(&clock) as Arc<dyn Clock>,
-        )
-        .unwrap();
-        (Arc::new(coord), clock)
-    }
-
     /// Runs the assigned shard for real and returns its bytes.
     fn run_assignment(dir: &std::path::Path, response: &Response) -> (u64, u32, Vec<u8>) {
         let Response::Assign {
@@ -820,10 +698,8 @@ mod tests {
     }
 
     fn poll(coord: &Coordinator, worker: &str) -> Response {
-        coord.handle(&Request::Poll {
+        coord.handle(&Request::PollAny {
             worker: worker.to_string(),
-            job: coord.job(),
-            fingerprint: coord.fingerprint(),
         })
     }
 
@@ -848,29 +724,38 @@ mod tests {
 
     #[test]
     fn wrong_fingerprints_are_rejected_up_front() {
-        let (coord, _) = coordinator(2, 1);
-        let r = coord.handle(&Request::Poll {
+        let dir = tmp("fingerprint");
+        let (coord, _) = journaled(2, 1, &dir);
+        let r = coord.handle(&Request::Heartbeat {
             worker: "w".to_string(),
+            round: 0,
+            shard: 0,
+            epoch: coord.epoch(),
             job: coord.job(),
             fingerprint: coord.fingerprint() ^ 1,
         });
         assert!(matches!(r, Response::Error { .. }), "{r:?}");
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn wrong_jobs_are_rejected_before_the_fingerprint() {
-        let (coord, _) = coordinator(2, 1);
+        let dir = tmp("wrong-job");
+        let (coord, _) = journaled(2, 1, &dir);
         // Both identities wrong (the realistic shape: a different
-        // --budget-ms moves the job digest AND the fingerprint): the
-        // answer names the job mismatch, not the fingerprint.
-        let r = coord.handle(&Request::Poll {
+        // budget moves the job digest AND the fingerprint): the answer
+        // names the job mismatch, not the fingerprint.
+        let r = coord.handle(&Request::Heartbeat {
             worker: "w".to_string(),
+            round: 0,
+            shard: 0,
+            epoch: coord.epoch(),
             job: coord.job() ^ 1,
             fingerprint: coord.fingerprint() ^ 1,
         });
         assert_eq!(r, Response::WrongJob { job: coord.job() });
-        // Submit and Heartbeat are fenced the same way, with no state
-        // touched — the round is still fully assignable afterwards.
+        // Submit is fenced the same way, with no state touched — the
+        // round is still fully assignable afterwards.
         let r = coord.handle(&Request::Submit {
             worker: "w".to_string(),
             round: 0,
@@ -882,12 +767,13 @@ mod tests {
         });
         assert_eq!(r, Response::WrongJob { job: coord.job() });
         assert!(matches!(poll(&coord, "ok"), Response::Assign { .. }));
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn rounds_advance_through_the_barrier_and_finish() {
         let dir = tmp("barrier");
-        let (coord, _) = coordinator(2, 2);
+        let (coord, _) = journaled(2, 2, &dir.join("wal"));
 
         // Round 0: two assignments, then the barrier.
         let a = run_assignment(&dir, &poll(&coord, "a"));
@@ -940,7 +826,7 @@ mod tests {
     #[test]
     fn expired_leases_are_redispatched_and_first_result_wins() {
         let dir = tmp("expiry");
-        let (coord, clock) = coordinator(1, 1);
+        let (coord, clock) = journaled(1, 1, &dir.join("wal"));
 
         let a = run_assignment(&dir, &poll(&coord, "a"));
         // a goes silent past the TTL; the shard goes back to the pool and
@@ -975,11 +861,12 @@ mod tests {
         let mut opts = CoordinatorOptions::new(1, 1);
         opts.lease.straggle_after_ms = u64::MAX;
         let coord = Arc::new(
-            Coordinator::new(
+            Coordinator::with_journal(
                 base(),
                 4,
                 opts,
                 Arc::<ManualClock>::clone(&clock) as Arc<dyn Clock>,
+                &dir.join("wal"),
             )
             .unwrap(),
         );
@@ -1012,10 +899,11 @@ mod tests {
 
     #[test]
     fn submit_admission_caps_concurrently_buffered_payloads() {
+        let dir = tmp("admission");
         let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
         let mut opts = CoordinatorOptions::new(1, 1);
         opts.max_buffered_rounds = 1; // cap = 1 round × 1 shard = 1 payload
-        let coord = Coordinator::new(base(), 4, opts, clock).unwrap();
+        let coord = Coordinator::with_journal(base(), 4, opts, clock, &dir).unwrap();
         let first = coord.try_admit_submit().expect("first submit is admitted");
         assert!(
             coord.try_admit_submit().is_none(),
@@ -1024,15 +912,19 @@ mod tests {
         drop(first);
         let reclaimed = coord.try_admit_submit();
         assert!(reclaimed.is_some(), "the slot frees when its guard drops");
+        drop(reclaimed);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn buffered_rounds_cap_clamps_to_one_round() {
+        let dir = tmp("clamp");
         let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
         let mut opts = CoordinatorOptions::new(3, 1);
         opts.max_buffered_rounds = 0; // misconfigured: still one round's worth
-        let coord = Coordinator::new(base(), 4, opts, clock).unwrap();
+        let coord = Coordinator::with_journal(base(), 4, opts, clock, &dir).unwrap();
         assert_eq!(coord.submit_cap(), 3);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     fn journaled(
@@ -1057,9 +949,10 @@ mod tests {
         let dir = tmp("journal-recovery");
         let journal_dir = dir.join("journal");
 
-        // The uninterrupted reference: a plain in-memory coordinator.
+        // The uninterrupted reference: a coordinator on a journal of
+        // its own that is never restarted.
         let reference = {
-            let (coord, _) = coordinator(2, 2);
+            let (coord, _) = journaled(2, 2, &dir.join("reference"));
             loop {
                 match poll(&coord, "ref") {
                     r @ Response::Assign { .. } => {
@@ -1176,10 +1069,21 @@ mod tests {
 
     #[test]
     fn zero_shards_or_rounds_are_rejected() {
+        let dir = tmp("invalid");
         let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
-        for (s, r) in [(0u32, 1u64), (1, 0)] {
+        // base() has 8 trials, so a 9th shard (let alone u32::MAX of
+        // them) would have none.
+        for (s, r) in [(0u32, 1u64), (1, 0), (9, 1), (u32::MAX, 1)] {
+            let wal = dir.join(format!("wal-{s}-{r}"));
             let opts = CoordinatorOptions::new(s, r);
-            assert!(Coordinator::new(base(), 4, opts, Arc::clone(&clock)).is_err());
+            let err = Coordinator::with_journal(base(), 4, opts, Arc::clone(&clock), &wal)
+                .unwrap_err()
+                .to_string();
+            if s > 8 {
+                assert!(err.contains("has no trials; use at most 8 shards"), "{err}");
+            }
+            assert!(!wal.exists(), "{s} × {r}: refused before the journal opens");
         }
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -7,8 +7,9 @@
 //! [`WalRecord`] *before* the transition is acted on, and the settled
 //! shard's checkpoint bytes are spilled to a content-checksummed file
 //! under `<dir>/shards/` so completed work never lives only in
-//! coordinator memory. A restarted `fnas-coord --journal-dir <dir>`
-//! replays the journal and resumes mid-round.
+//! coordinator memory. A restarted coordinator on the same `<dir>` (for
+//! `fnas-coord serve --dir <root>`, `<root>/jobs/<digest>/wal`) replays
+//! the journal and resumes mid-round.
 //!
 //! **Total decode, clean-prefix tail.** Like `fnas_store::record`,
 //! decoding never errors: a truncated or corrupt WAL tail decodes as a

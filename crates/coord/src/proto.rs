@@ -7,17 +7,30 @@
 //! behind one mutex) and make worker crash recovery a non-event — there
 //! is no session to tear down, only a lease to let expire.
 //!
-//! Every request carries two identities (checked in this order):
+//! The protocol has two surfaces (DESIGN.md §18):
+//!
+//! * **worker verbs** — [`Request::PollAny`] asks for work on *any* job;
+//!   the answering [`Response::Assign`] carries the job's canonical
+//!   [`fnas::job::JobSpec`] bytes plus the execution knobs (`batch`,
+//!   `rounds`) the worker needs to resolve the job and derive the
+//!   [`config_fingerprint`] itself. [`Request::Heartbeat`] and
+//!   [`Request::Submit`] then echo both identities of that assignment;
+//! * **client verbs** — [`Request::SubmitJob`], [`Request::JobStatus`],
+//!   [`Request::ListJobs`], [`Request::CancelJob`] and
+//!   [`Request::WatchProgress`], spoken by `fnas-serve` clients to
+//!   submit and observe jobs multiplexed over one shared fleet.
+//!
+//! The two identities every heartbeat and submit carries are checked in
+//! this order:
 //!
 //! * the **job digest** ([`fnas::job::JobSpec::job_digest`]): *which job*
-//!   the worker was asked to run (preset, device, `rL`, budgets, parent
-//!   seed — DESIGN.md §17). A worker submitted against a different job
-//!   (say, a different `--budget-ms`) gets [`Response::WrongJob`] naming
-//!   the coordinator's job, deterministically, on its first request;
+//!   the lease belongs to (preset, device, `rL`, budgets, parent seed —
+//!   DESIGN.md §17). A request naming a different job than the
+//!   coordinator's gets [`Response::WrongJob`], deterministically;
 //! * the run's **config fingerprint** ([`config_fingerprint`]): a digest
 //!   of exactly the knobs that determine results (seed, budget, preset,
-//!   batch size, shard/round counts). A worker built with different
-//!   *execution* flags of the same job is rejected here instead of
+//!   batch size, shard/round counts). A worker that derived different
+//!   *execution* knobs for the same job is rejected here instead of
 //!   contributing a divergent checkpoint that would only be caught — as
 //!   a hard byte-compare error — at submit time. Worker thread count is
 //!   deliberately *excluded*: results are bit-identical for any worker
@@ -27,19 +40,6 @@
 //! checkpoint codec: `u32`/`u64` LE, strings as `u32` length + UTF-8,
 //! byte blobs as `u32` length + bytes, bools as one 0/1 byte, one leading
 //! tag byte per message variant.
-//!
-//! Beyond the worker verbs, the protocol carries two more surfaces
-//! (DESIGN.md §18):
-//!
-//! * **fleet verbs** — [`Request::PollAny`] lets a job-agnostic worker
-//!   ask for work on *any* job; the answering [`Response::Assign`]
-//!   carries the job's canonical [`fnas::job::JobSpec`] bytes plus the
-//!   execution knobs (`batch`, `rounds`) the worker needs to resolve the
-//!   job and derive the [`config_fingerprint`] itself;
-//! * **client verbs** — [`Request::SubmitJob`], [`Request::JobStatus`],
-//!   [`Request::ListJobs`], [`Request::CancelJob`] and
-//!   [`Request::WatchProgress`], spoken by `fnas-serve` clients to
-//!   submit and observe jobs multiplexed over one shared fleet.
 
 use std::io::Read as _;
 use std::net::TcpStream;
@@ -66,16 +66,6 @@ fn corrupt(e: DecodeError) -> FnasError {
 /// What a worker asks the coordinator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// "Give me work." Answered with [`Response::Assign`],
-    /// [`Response::Wait`] or [`Response::Finished`].
-    Poll {
-        /// Self-chosen worker name (diagnostics and lease bookkeeping).
-        worker: String,
-        /// `job_digest` of the worker's [`fnas::job::JobSpec`].
-        job: u64,
-        /// [`config_fingerprint`] of the worker's flags.
-        fingerprint: u64,
-    },
     /// "I am still working on shard `shard` of round `round`." Extends
     /// the lease; answered with [`Response::Ack`].
     Heartbeat {
@@ -88,9 +78,9 @@ pub enum Request {
         /// Coordinator epoch echoed from the [`Response::Assign`] that
         /// issued the lease (epoch fencing, DESIGN.md §15).
         epoch: u64,
-        /// `job_digest` of the worker's [`fnas::job::JobSpec`].
+        /// `job_digest` echoed from the lease's [`Response::Assign`].
         job: u64,
-        /// [`config_fingerprint`] of the worker's flags.
+        /// [`config_fingerprint`] the worker derived for the lease.
         fingerprint: u64,
     },
     /// "Here is shard `shard` of round `round`, finished." Answered with
@@ -106,19 +96,20 @@ pub enum Request {
         /// issued the lease; a restarted coordinator rejects stale
         /// epochs with [`Response::Stale`].
         epoch: u64,
-        /// `job_digest` of the worker's [`fnas::job::JobSpec`].
+        /// `job_digest` echoed from the lease's [`Response::Assign`].
         job: u64,
-        /// [`config_fingerprint`] of the worker's flags.
+        /// [`config_fingerprint`] the worker derived for the lease.
         fingerprint: u64,
         /// The shard's final checkpoint, as saved by `ShardRunner`.
         bytes: Vec<u8>,
     },
-    /// "Give me work on *any* job." The job-agnostic fleet verb: the
-    /// worker names no job and no fingerprint — it learns both from the
+    /// "Give me work on *any* job." Answered with [`Response::Assign`],
+    /// [`Response::Wait`] or [`Response::Finished`]. The worker names no
+    /// job and no fingerprint — it learns both from the
     /// [`Response::Assign`] it is handed (spec bytes + execution knobs)
-    /// and derives the fingerprint itself, so the existing
-    /// [`Response::WrongJob`]/[`Response::Stale`] fencing still applies
-    /// to every later [`Request::Heartbeat`] and [`Request::Submit`].
+    /// and derives the fingerprint itself, so the
+    /// [`Response::WrongJob`]/[`Response::Stale`] fencing applies to
+    /// every later [`Request::Heartbeat`] and [`Request::Submit`].
     PollAny {
         /// Self-chosen worker name (diagnostics and lease bookkeeping).
         worker: String,
@@ -184,18 +175,14 @@ pub enum Response {
         /// lease, so a restarted coordinator (higher epoch) can fence
         /// off in-flight work dispatched before its crash.
         epoch: u64,
-        /// `job_digest` of the job this lease belongs to, stamped so the
-        /// assignment itself names the job (diagnostics for pinned
-        /// workers; the authoritative identity for [`Request::PollAny`]
-        /// fleet workers, who verify it against `spec`).
+        /// `job_digest` of the job this lease belongs to. The worker
+        /// verifies it against the digest of `spec` before running.
         job: u64,
-        /// Canonical [`fnas::job::JobSpec::encode`] bytes of the job. A
-        /// fleet worker decodes and resolves these on the fly; a pinned
-        /// worker may ignore them (it already proved agreement in its
-        /// [`Request::Poll`]).
+        /// Canonical [`fnas::job::JobSpec::encode`] bytes of the job,
+        /// which the worker decodes and resolves on the fly.
         spec: Vec<u8>,
-        /// Training batch size the job runs with (fleet workers fold
-        /// this into the [`config_fingerprint`] they echo back).
+        /// Training batch size the job runs with (the worker folds this
+        /// into the [`config_fingerprint`] it echoes back).
         batch: u32,
         /// Total rounds of the job (fingerprint input, like `batch`).
         rounds: u64,
@@ -248,10 +235,10 @@ pub enum Response {
     },
     /// The request's job digest names a different job than the one this
     /// coordinator is running (DESIGN.md §17). Unlike a fingerprint
-    /// [`Response::Error`] this is a *job identity* mismatch — the worker
-    /// was pointed at the wrong search entirely (different preset,
-    /// device, `rL`, budget or parent seed) and should exit rather than
-    /// retry: no amount of re-polling makes its job agree.
+    /// [`Response::Error`] this is a *job identity* mismatch — the
+    /// request belongs to another search entirely (different preset,
+    /// device, `rL`, budget or parent seed) and the worker should exit
+    /// rather than retry: no amount of re-polling makes the jobs agree.
     WrongJob {
         /// The coordinator's `job_digest`.
         job: u64,
@@ -325,7 +312,8 @@ pub fn config_fingerprint(config: &SearchConfig, batch: usize, shards: u32, roun
     h
 }
 
-const TAG_POLL: u8 = 1;
+// Tag 1 is retired: it was a poll pinned to one job by its flags, and
+// now decodes as an unknown tag. Every other tag keeps its number.
 const TAG_HEARTBEAT: u8 = 2;
 const TAG_SUBMIT: u8 = 3;
 const TAG_POLL_ANY: u8 = 4;
@@ -353,16 +341,6 @@ impl Request {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::default();
         match self {
-            Request::Poll {
-                worker,
-                job,
-                fingerprint,
-            } => {
-                w.u8(TAG_POLL);
-                w.str(worker);
-                w.u64(*job);
-                w.u64(*fingerprint);
-            }
             Request::Heartbeat {
                 worker,
                 round,
@@ -439,11 +417,6 @@ impl Request {
     pub fn from_bytes(buf: &[u8]) -> fnas::Result<Self> {
         decode(buf, |r| {
             Ok(match r.u8()? {
-                TAG_POLL => Request::Poll {
-                    worker: string(r)?,
-                    job: r.u64()?,
-                    fingerprint: r.u64()?,
-                },
                 TAG_HEARTBEAT => Request::Heartbeat {
                     worker: string(r)?,
                     round: r.u64()?,
@@ -670,11 +643,6 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         let msgs = [
-            Request::Poll {
-                worker: "w-α".to_string(),
-                job: 0xC0FF_EE00,
-                fingerprint: 0xDEAD_BEEF,
-            },
             Request::Heartbeat {
                 worker: "w".to_string(),
                 round: 3,
@@ -693,7 +661,7 @@ mod tests {
                 bytes: vec![1, 2, 3],
             },
             Request::PollAny {
-                worker: "fleet-0".to_string(),
+                worker: "w-α".to_string(),
             },
             Request::SubmitJob {
                 spec: vec![4, 5, 6],
@@ -756,15 +724,21 @@ mod tests {
     fn malformed_messages_are_rejected() {
         assert!(Request::from_bytes(&[]).is_err());
         assert!(Request::from_bytes(&[99]).is_err());
-        let mut ok = Request::Poll {
+        let mut ok = Request::PollAny {
             worker: "w".to_string(),
-            job: 2,
-            fingerprint: 1,
         }
         .to_bytes();
         ok.push(0); // trailing byte
         assert!(Request::from_bytes(&ok).is_err());
         assert!(Response::from_bytes(&[99]).is_err());
+        // The retired tag 1 is unknown, however well-formed its body.
+        let mut retired = Writer::default();
+        retired.u8(1);
+        retired.str("w");
+        retired.u64(2);
+        retired.u64(1);
+        let err = Request::from_bytes(&retired.into_bytes()).unwrap_err();
+        assert!(err.to_string().contains("unknown request tag 1"), "{err}");
     }
 
     #[test]
@@ -811,11 +785,11 @@ mod proptests {
         proptest::collection::vec(0u8..=u8::MAX, 0usize..24)
     }
 
-    /// One strategy covering all nine request tags: the `kind` arm picks
+    /// One strategy covering all eight request tags: the `kind` arm picks
     /// the variant, the shared draws fill whichever fields it has.
     fn arb_request() -> impl Strategy<Value = Request> {
         (
-            (0u8..9, arb_text()),
+            (0u8..8, arb_text()),
             (0u64..=u64::MAX, 0u32..=u32::MAX, 0u64..=u64::MAX),
             (0u64..=u64::MAX, 0u64..=u64::MAX, 0u32..=u32::MAX),
             arb_bytes(),
@@ -823,12 +797,7 @@ mod proptests {
             .prop_map(
                 |((kind, worker), (round, shard, epoch), (job, fingerprint, shards), bytes)| {
                     match kind {
-                        0 => Request::Poll {
-                            worker,
-                            job,
-                            fingerprint,
-                        },
-                        1 => Request::Heartbeat {
+                        0 => Request::Heartbeat {
                             worker,
                             round,
                             shard,
@@ -836,7 +805,7 @@ mod proptests {
                             job,
                             fingerprint,
                         },
-                        2 => Request::Submit {
+                        1 => Request::Submit {
                             worker,
                             round,
                             shard,
@@ -845,16 +814,16 @@ mod proptests {
                             fingerprint,
                             bytes,
                         },
-                        3 => Request::PollAny { worker },
-                        4 => Request::SubmitJob {
+                        2 => Request::PollAny { worker },
+                        3 => Request::SubmitJob {
                             spec: bytes,
                             batch: shard,
                             shards,
                             rounds: round,
                         },
-                        5 => Request::JobStatus { job },
-                        6 => Request::ListJobs,
-                        7 => Request::CancelJob { job },
+                        4 => Request::JobStatus { job },
+                        5 => Request::ListJobs,
+                        6 => Request::CancelJob { job },
                         _ => Request::WatchProgress { job },
                     }
                 },

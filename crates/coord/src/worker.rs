@@ -13,16 +13,11 @@
 //! worker: its result is exactly as valid as any replica's, and the
 //! coordinator settles whichever arrives first.
 //!
-//! Workers come in two shapes sharing one execution path:
-//!
-//! * [`run_worker`] is **pinned**: launched with job flags, it proves
-//!   job/fingerprint agreement on its first `Poll` and serves that one
-//!   run until `Finished`;
-//! * [`run_fleet_worker`] is **job-agnostic**: it sends
-//!   [`Request::PollAny`] and resolves whatever job each `Assign` hands
-//!   it from the spec bytes on the wire (DESIGN.md §18), deriving the
-//!   fingerprint itself — so one fleet serves many jobs, and the
-//!   `WrongJob`/`Stale` fences still police every submission.
+//! The worker ([`run_fleet_worker`]) is **job-agnostic**: it sends
+//! [`Request::PollAny`] and resolves whatever job each `Assign` hands it
+//! from the spec bytes on the wire (DESIGN.md §18), deriving the
+//! fingerprint itself — so one fleet serves one job or many, and the
+//! `WrongJob`/`Stale` fences still police every submission.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -169,7 +164,7 @@ fn request(opts: &WorkerOptions, meter: &RetryMeter, req: &Request) -> Result<Re
 }
 
 /// One accepted lease, fully identified: everything the execution path
-/// needs to run the shard and settle it, whichever poll verb earned it.
+/// needs to run the shard and settle it.
 struct Assignment {
     round: u64,
     shard: u32,
@@ -182,8 +177,7 @@ struct Assignment {
 
 /// Runs one leased shard end to end: background heartbeats, the shard
 /// itself, the durable artifact copy, and the submit loop with its
-/// `Retry`/`Stale` handling. Shared verbatim by pinned and fleet
-/// workers — which is what keeps their submitted bytes identical.
+/// `Retry`/`Stale` handling.
 #[allow(clippy::too_many_arguments)] // internal helper threading one lease's context
 fn run_assignment(
     base: &SearchConfig,
@@ -280,9 +274,8 @@ fn run_assignment(
             Response::WrongJob { job: theirs } => {
                 return Err(FnasError::InvalidConfig {
                     what: format!(
-                        "coordinator serves job {theirs:#018x}, this worker was \
-                         started for job {:#018x}; check the job flags \
-                         (--preset/--device/--budget-ms/--trials/--seed)",
+                        "coordinator serves job {theirs:#018x}, not job {:#018x} \
+                         this lease was assigned for",
                         a.job
                     ),
                 })
@@ -296,127 +289,9 @@ fn run_assignment(
     }
 }
 
-/// Runs the worker loop against a coordinator until the run finishes.
-///
-/// `base`, `opts`, `shards` and `rounds` must match the coordinator's
-/// flags — the fingerprint handshake enforces this on the first poll.
-/// The evaluation worker-thread count inside `opts` is free to differ
-/// per machine; it cannot change results.
-///
-/// # Errors
-///
-/// Fingerprint rejections and protocol errors; connection failures
-/// *before* this worker contributed anything. A coordinator that
-/// disappears after the worker has submitted results is a normal exit
-/// (`coordinator_lost` in the report).
-pub fn run_worker(
-    base: &SearchConfig,
-    opts: &BatchOptions,
-    worker: &WorkerOptions,
-    shards: u32,
-    rounds: u64,
-) -> Result<WorkerReport> {
-    std::fs::create_dir_all(&worker.dir)?;
-    let job = base.job().job_digest();
-    let fingerprint = config_fingerprint(base, opts.batch_size(), shards, rounds);
-    // One store handle per worker process, shared across every shard and
-    // round this worker runs.
-    let store: Option<Arc<dyn fnas_store::Store>> = match &worker.store_dir {
-        Some(dir) => Some(Arc::new(fnas_store::DiskStore::open(dir)?)),
-        None => None,
-    };
-    let meter = Arc::new(RetryMeter::default());
-    let mut report = WorkerReport::default();
-    loop {
-        meter.fold_into(&mut report);
-        let poll = Request::Poll {
-            worker: worker.name.clone(),
-            job,
-            fingerprint,
-        };
-        let response = match request(worker, &meter, &poll) {
-            Ok(r) => r,
-            Err(e) if report.shards_run > 0 => {
-                // The coordinator merged its last round and left while we
-                // were backing off; the run is over.
-                let _ = e;
-                report.coordinator_lost = true;
-                meter.fold_into(&mut report);
-                return Ok(report);
-            }
-            Err(e) => return Err(e),
-        };
-        match response {
-            Response::Finished => {
-                meter.fold_into(&mut report);
-                return Ok(report);
-            }
-            Response::Wait { backoff_ms } => {
-                std::thread::sleep(Duration::from_millis(backoff_ms.clamp(10, 1_000)));
-            }
-            Response::Assign {
-                round,
-                shard,
-                shard_count,
-                epoch,
-                init,
-                ..
-            } => {
-                if shard_count != shards {
-                    return Err(FnasError::InvalidConfig {
-                        what: format!(
-                            "coordinator dispatches {shard_count} shards, worker was started \
-                             with --shards {shards}"
-                        ),
-                    });
-                }
-                let init = SearchCheckpoint::from_bytes(&init)?;
-                let scratch = worker.dir.clone();
-                run_assignment(
-                    base,
-                    opts,
-                    worker,
-                    &store,
-                    &meter,
-                    &scratch,
-                    Assignment {
-                        round,
-                        shard,
-                        shard_count,
-                        epoch,
-                        job,
-                        fingerprint,
-                        init,
-                    },
-                    &mut report,
-                )?;
-            }
-            Response::Error { what } => {
-                return Err(FnasError::InvalidConfig {
-                    what: format!("coordinator rejected poll: {what}"),
-                })
-            }
-            Response::WrongJob { job: theirs } => {
-                return Err(FnasError::InvalidConfig {
-                    what: format!(
-                        "coordinator serves job {theirs:#018x}, this worker was started \
-                         for job {job:#018x}; check the job flags \
-                         (--preset/--device/--budget-ms/--trials/--seed)"
-                    ),
-                })
-            }
-            other => {
-                return Err(FnasError::InvalidConfig {
-                    what: format!("unexpected poll response {other:?}"),
-                })
-            }
-        }
-    }
-}
-
-/// Runs the job-agnostic fleet loop until the endpoint answers
-/// `Finished` (a `fnas-serve` daemon says so once every admitted job is
-/// done; a single-job coordinator once its run merges).
+/// Runs the job-agnostic worker loop until the endpoint answers
+/// `Finished` (a `fnas_serve::Server` says so once every job it expects
+/// is done).
 ///
 /// The worker is launched with **no job flags**: each `Assign` carries
 /// the job's canonical spec bytes plus the execution knobs (`batch`,
@@ -431,8 +306,10 @@ pub fn run_worker(
 ///
 /// # Errors
 ///
-/// Undecodable or mismatched spec bytes, protocol errors, and
-/// connection failures before any contribution — as [`run_worker`].
+/// Undecodable or mismatched spec bytes, rejections and protocol
+/// errors; connection failures *before* this worker contributed
+/// anything. An endpoint that disappears after the worker has submitted
+/// results is a normal exit (`coordinator_lost` in the report).
 pub fn run_fleet_worker(opts: &BatchOptions, worker: &WorkerOptions) -> Result<WorkerReport> {
     std::fs::create_dir_all(&worker.dir)?;
     let store: Option<Arc<dyn fnas_store::Store>> = match &worker.store_dir {
@@ -449,6 +326,8 @@ pub fn run_fleet_worker(opts: &BatchOptions, worker: &WorkerOptions) -> Result<W
         let response = match request(worker, &meter, &poll) {
             Ok(r) => r,
             Err(e) if report.shards_run > 0 => {
+                // The endpoint finished and left while we were backing
+                // off; the run is over.
                 let _ = e;
                 report.coordinator_lost = true;
                 meter.fold_into(&mut report);

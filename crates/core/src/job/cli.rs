@@ -1,13 +1,16 @@
 //! The shared argv layer of the operator bins.
 //!
-//! `fnas-shard`, `fnas-coord` and `fnas-worker` all accept the same job
+//! `fnas-shard`, `fnas-coord` and `fnas-serve` all accept the same job
 //! flags (`--preset`, `--device`, `--trials`, `--seed`, `--budget-ms`);
 //! before this module each bin hand-rolled the same parse loop, so "the
 //! same command line" was a convention, not a guarantee. Now every bin
-//! calls [`JobSpec::from_args`], which splits argv into the job flags
-//! (one canonical [`JobSpec`]) and the bin-specific rest — a job parsed
-//! by any bin resolves byte-identically, which is what makes the
-//! cross-process digest handshake (`Response::WrongJob`) sound.
+//! that names a job calls [`JobSpec::from_args`], which splits argv into
+//! the job flags (one canonical [`JobSpec`]) and the bin-specific rest —
+//! a job parsed by any bin resolves byte-identically, which is what
+//! makes job digests agree across processes (the digest `fnas-coord
+//! serve` banners is the one `fnas-ckpt` reads from an `fnas-shard`
+//! init). `fnas-worker` takes no job flags: each assignment carries the
+//! job's canonical spec bytes.
 //!
 //! The low-level helpers ([`parse_num`], [`Args`]) are re-exported from
 //! `fnas-cliutil`, the dependency-free crate the `fnas-store` bin (which

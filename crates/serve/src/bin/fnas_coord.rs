@@ -2,27 +2,27 @@
 //!
 //! ```text
 //! fnas-coord serve --listen 127.0.0.1:7463 --dir out \
-//!     --shards 4 --rounds 2 [--journal-dir wal] [config flags]
+//!     --shards 4 --rounds 2 [config flags]
 //! fnas-coord local --dir out --shards 4 --rounds 2 [config flags]
-//! fnas-coord journal <stat|verify> --journal-dir wal
+//! fnas-coord journal <stat|verify> --journal-dir out/jobs/<digest>/wal
 //! ```
 //!
-//! `serve` listens for `fnas-worker` processes, leases shards with a
-//! wall-clock TTL, re-dispatches stragglers, merges each round at the
-//! barrier and writes the final checkpoint to `<dir>/merged.ckpt`.
-//! With `--journal-dir` it is crash-safe: every transition is journaled,
-//! and re-running the same command after a kill resumes mid-round
-//! (settled shards stay settled, pre-crash leases are epoch-fenced).
-//! `local` runs the identical rounds sequentially in-process — the
-//! reference a coordinated run must match byte for byte (compare the two
-//! files, or their SHA-256s, to audit a deployment). `journal` inspects
-//! a journal directory offline, mirroring `fnas-store stat|verify`.
+//! `serve` is a one-job [`Server`] rooted at `--dir`: it admits its own
+//! job, leases shards to `fnas-worker` processes with a wall-clock TTL,
+//! re-dispatches stragglers, merges each round at the barrier and writes
+//! the final checkpoint to `<dir>/merged.ckpt`. It is always crash-safe:
+//! every transition is journaled under `<dir>/jobs/<digest>/wal`, and
+//! re-running the same command after a kill resumes mid-round (settled
+//! shards stay settled, pre-crash leases are epoch-fenced). `local` runs
+//! the identical rounds sequentially in-process — the reference a
+//! coordinated run must match byte for byte (compare the two files, or
+//! their SHA-256s, to audit a deployment). `journal` inspects a journal
+//! directory offline, mirroring `fnas-store stat|verify`.
 //!
 //! The job flags (`--preset`, `--device`, `--trials`, `--seed`,
 //! `--budget-ms`) identify the search (the job digest); they plus
-//! `--batch`/`--shards`/`--rounds` form the run fingerprint. Every
-//! worker must be started with the same values — a worker submitted to
-//! the wrong job is turned away deterministically (`WrongJob`).
+//! `--batch`/`--shards`/`--rounds` form the run fingerprint. Workers
+//! take none of them: each assignment carries the job's spec bytes.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -32,9 +32,8 @@ use std::sync::Arc;
 use fnas::job::cli::{Args, JOB_USAGE};
 use fnas::job::JobSpec;
 use fnas::search::{BatchOptions, SearchConfig};
-use fnas_coord::{
-    run_rounds_local, Clock, Coordinator, CoordinatorOptions, Journal, LeasePolicy, WallClock,
-};
+use fnas_coord::{run_rounds_local, Clock, Journal, LeasePolicy, Request, Response, WallClock};
+use fnas_serve::{ServeOptions, Server};
 
 struct Cli {
     listen: Option<String>,
@@ -47,21 +46,20 @@ struct Cli {
     straggle_after_ms: Option<u64>,
     linger_ms: u64,
     max_buffered_rounds: usize,
-    journal_dir: Option<PathBuf>,
 }
 
 const USAGE: &str = "usage: fnas-coord <serve|local> --dir <out-dir> [options]
   common     --shards <N>            shards per round (default 4)
              --rounds <R>            synchronous rounds (default 1)
              --batch <B>             children per episode (default 8)
-  serve      --listen <addr:port>    listen address (required)
+  serve      --listen <addr:port>    listen address (required); the journal
+                                     lives in <dir>/jobs/<digest>/wal, so
+                                     re-running the command after a kill resumes
              --lease-ttl-ms <X>      lease TTL (default 5000)
              --straggle-after-ms <X> speculate after (default ttl/2)
              --linger-ms <X>         keep answering after finish (default 500)
              --max-buffered-rounds <N>  cap on concurrently buffered submit
                                      payloads, in rounds (default 2)
-             --journal-dir <d>       crash-safe write-ahead journal; re-run
-                                     the same command after a kill to resume
   local      --workers <W>           evaluation workers (default: cores)
   journal    <stat|verify> --journal-dir <d>  inspect a journal offline";
 
@@ -84,7 +82,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     let mut straggle_after_ms = None;
     let mut linger_ms = 500u64;
     let mut max_buffered_rounds = 2usize;
-    let mut journal_dir = None;
 
     let mut a = Args::new(&rest);
     while let Some(flag) = a.next_flag() {
@@ -99,7 +96,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--straggle-after-ms" => straggle_after_ms = Some(a.num::<u64>()?),
             "--linger-ms" => linger_ms = a.num::<u64>()?,
             "--max-buffered-rounds" => max_buffered_rounds = a.num::<usize>()?,
-            "--journal-dir" => journal_dir = Some(PathBuf::from(a.value()?)),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -122,56 +118,57 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         straggle_after_ms,
         linger_ms,
         max_buffered_rounds,
-        journal_dir,
     })
 }
 
 fn cmd_serve(cli: &Cli) -> Result<String, String> {
     let listen = cli.listen.as_deref().ok_or("serve needs --listen")?;
-    std::fs::create_dir_all(&cli.dir).map_err(|e| e.to_string())?;
     let mut lease = LeasePolicy::with_ttl_ms(cli.lease_ttl_ms);
     if let Some(s) = cli.straggle_after_ms {
         lease.straggle_after_ms = s;
     }
-    let opts = CoordinatorOptions {
-        shards: cli.shards,
-        rounds: cli.rounds,
-        lease,
+    let opts = ServeOptions {
+        max_jobs: 1,
+        expect_jobs: 1,
+        quantum: 1,
         backoff_ms: 50,
         linger_ms: cli.linger_ms,
+        lease,
         max_buffered_rounds: cli.max_buffered_rounds,
     };
     let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-    let coordinator = match &cli.journal_dir {
-        Some(journal_dir) => Coordinator::with_journal(
-            cli.config.clone(),
-            cli.opts.batch_size(),
-            opts,
-            clock,
-            journal_dir,
-        ),
-        None => Coordinator::new(cli.config.clone(), cli.opts.batch_size(), opts, clock),
-    }
-    .map_err(|e| e.to_string())?;
-    let coordinator = Arc::new(coordinator);
+    let server = Arc::new(Server::new(&cli.dir, opts, clock).map_err(|e| e.to_string())?);
+    // Bind before admitting, so a restart that finds the port still
+    // draining fails without starting a journal epoch.
     let listener = TcpListener::bind(listen).map_err(|e| e.to_string())?;
+    let admitted = server.handle(&Request::SubmitJob {
+        spec: cli.config.job().encode(),
+        batch: u32::try_from(cli.opts.batch_size()).map_err(|_| "--batch is too large")?,
+        shards: cli.shards,
+        rounds: cli.rounds,
+    });
+    let job = match admitted {
+        Response::JobAccepted { job } => job,
+        Response::Error { what } => return Err(what),
+        other => return Err(format!("job not admitted: {other:?}")),
+    };
+    let coordinator = server
+        .coordinator(job)
+        .expect("an admitted job has a coordinator");
     eprintln!(
         "fnas-coord: serving {} shards x {} rounds on {listen} \
-         (job {:#018x} \"{}\", fingerprint {:#018x})",
+         (job {job:#018x} \"{}\", fingerprint {:#018x}, epoch {}, {} completed rounds recovered)",
         cli.shards,
         cli.rounds,
-        coordinator.job(),
         cli.config.job(),
-        coordinator.fingerprint()
+        coordinator.fingerprint(),
+        coordinator.epoch(),
+        coordinator.rounds_recovered()
     );
-    if cli.journal_dir.is_some() {
-        eprintln!(
-            "fnas-coord: journaled, epoch {} ({} completed rounds recovered)",
-            coordinator.epoch(),
-            coordinator.rounds_recovered()
-        );
-    }
-    let merged = coordinator.serve(listener).map_err(|e| e.to_string())?;
+    server.run(listener).map_err(|e| e.to_string())?;
+    let merged = coordinator
+        .finished_checkpoint()
+        .ok_or_else(|| format!("job {job:#018x} was cancelled before it finished"))?;
     let out = cli.dir.join("merged.ckpt");
     merged.save(&out).map_err(|e| e.to_string())?;
     let t = coordinator.telemetry().snapshot();
@@ -346,7 +343,7 @@ mod tests {
         let c = cli(
             "--dir /tmp/x --listen 127.0.0.1:7463 --shards 4 --rounds 2 --trials 24 \
              --seed 77 --batch 3 --lease-ttl-ms 2000 --straggle-after-ms 600 --linger-ms 100 \
-             --max-buffered-rounds 3 --journal-dir /tmp/wal",
+             --max-buffered-rounds 3",
         )
         .unwrap();
         assert_eq!(c.listen.as_deref(), Some("127.0.0.1:7463"));
@@ -358,10 +355,6 @@ mod tests {
         assert_eq!(c.straggle_after_ms, Some(600));
         assert_eq!(c.linger_ms, 100);
         assert_eq!(c.max_buffered_rounds, 3);
-        assert_eq!(
-            c.journal_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/wal"))
-        );
     }
 
     #[test]
@@ -418,9 +411,10 @@ mod tests {
     #[test]
     fn rejects_malformed_invocations() {
         for bad in [
-            "--shards 2",            // no --dir
-            "--dir /tmp/x --nope",   // unknown flag
-            "--dir /tmp/x --rounds", // missing value
+            "--shards 2",                          // no --dir
+            "--dir /tmp/x --nope",                 // unknown flag
+            "--dir /tmp/x --rounds",               // missing value
+            "--dir /tmp/x --journal-dir /tmp/wal", // the journal is always on
             "--dir /tmp/x --preset tpu",
         ] {
             assert!(cli(bad).is_err(), "{bad:?} should be rejected");

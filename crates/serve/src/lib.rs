@@ -1,9 +1,11 @@
 //! `fnas-serve` — a multi-tenant NAS-as-a-service scheduler.
 //!
-//! `fnas-coord` runs one search job; the ROADMAP north-star is a
-//! *service*: many users submitting `(device, rL, budget, seed)`
-//! searches concurrently, multiplexed over one elastic worker fleet.
-//! This crate is that service shape (DESIGN.md §18):
+//! The ROADMAP north-star is a *service*: many users submitting
+//! `(device, rL, budget, seed)` searches concurrently, multiplexed over
+//! one elastic worker fleet. This crate is that service shape
+//! (DESIGN.md §18), and the only network front end in the workspace:
+//! its two bins are `fnas-serve` (many jobs) and `fnas-coord` (whose
+//! `serve` subcommand is a [`Server`] with exactly one job).
 //!
 //! * [`server`] — the long-lived daemon. One
 //!   [`fnas_coord::Coordinator`] round-state machine per admitted job
@@ -22,10 +24,11 @@
 //! job from the spec bytes its `Assign` carries
 //! ([`fnas_coord::worker::run_fleet_worker`]). The determinism contract
 //! extends PR 7's: each job's final merged checkpoint is
-//! **byte-identical** to a solo `fnas-coord` run of the same spec, no
-//! matter how many jobs share the fleet, how their shards interleave,
-//! or which workers die mid-round — pinned by `tests/serve_jobs.rs`
-//! and the CI `serve` job.
+//! **byte-identical** to a solo run of the same spec
+//! ([`fnas_coord::run_rounds_local`]), no matter how many jobs share the
+//! fleet, how their shards interleave, or which workers die mid-round —
+//! pinned by `tests/serve_jobs.rs`, `tests/coord_rounds.rs` and the CI
+//! `serve` and `coord` jobs.
 
 pub mod client;
 pub mod progress;

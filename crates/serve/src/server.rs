@@ -26,8 +26,9 @@
 //! **Determinism.** The server never touches shard bytes: assignments,
 //! fencing (`WrongJob`/`Stale`), barriers, and merges are all the
 //! per-job coordinator's, so each job's result is byte-identical to a
-//! solo `fnas-coord` run of the same spec regardless of how the fleet
-//! interleaves jobs (`tests/serve_jobs.rs`).
+//! solo run of the same spec ([`fnas_coord::run_rounds_local`])
+//! regardless of how the fleet interleaves jobs (`tests/serve_jobs.rs`).
+//! A one-job server is the `fnas-coord serve` front end.
 
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
@@ -201,6 +202,15 @@ impl Server {
         table.find(job).map(|at| table.entries[at].state)
     }
 
+    /// The coordinator of one admitted job, if any — its epoch,
+    /// fingerprint, telemetry and submit-admission slots.
+    pub fn coordinator(&self, job: u64) -> Option<Arc<Coordinator>> {
+        let table = self.lock_jobs();
+        table
+            .find(job)
+            .map(|at| Arc::clone(&table.entries[at].coordinator))
+    }
+
     fn lock_jobs(&self) -> MutexGuard<'_, JobTable> {
         self.jobs.lock().expect("serve jobs lock")
     }
@@ -224,8 +234,9 @@ impl Server {
             Request::ListJobs => self.list(),
             Request::CancelJob { job } => self.cancel(*job),
             Request::PollAny { worker } => self.next_assignment(worker),
-            Request::Poll { job, .. } | Request::Heartbeat { job, .. } => self.route(*job, request),
-            Request::Submit { job, .. } => self.route(*job, request),
+            Request::Heartbeat { job, .. } | Request::Submit { job, .. } => {
+                self.route(*job, request)
+            }
         }
     }
 
@@ -274,7 +285,6 @@ impl Server {
                 rounds,
                 lease: self.opts.lease,
                 backoff_ms: self.opts.backoff_ms,
-                linger_ms: self.opts.linger_ms,
                 max_buffered_rounds: self.opts.max_buffered_rounds,
             };
             let wal = self.store.job_dir(job).join("wal");
@@ -306,7 +316,8 @@ impl Server {
         Response::JobAccepted { job }
     }
 
-    /// Routes a pinned-identity worker verb to its job's coordinator.
+    /// Routes a heartbeat or submit to the coordinator of the job it
+    /// names.
     fn route(&self, job: u64, request: &Request) -> Response {
         let coordinator = {
             let table = self.lock_jobs();
@@ -319,16 +330,12 @@ impl Server {
             if entry.state == JobState::Cancelled {
                 // A worker still finishing a shard of a cancelled job is
                 // waved off without being treated as faulty: its lease is
-                // void (heartbeat), its result is discarded (submit, via
-                // the same Stale verb an epoch fence uses), and only an
-                // explicit re-Poll of the dead job is an error.
+                // void (heartbeat), and its result is discarded (submit,
+                // via the same Stale verb an epoch fence uses).
                 return match request {
                     Request::Heartbeat { .. } => Response::Ack { still_yours: false },
-                    Request::Submit { .. } => Response::Stale {
+                    _ => Response::Stale {
                         epoch: entry.coordinator.epoch(),
-                    },
-                    _ => Response::Error {
-                        what: format!("job {job:#018x} is cancelled"),
                     },
                 };
             }
@@ -454,13 +461,10 @@ impl Server {
             if entry.deficit == 0 {
                 entry.deficit = quantum;
             }
-            let coordinator = Arc::clone(&entry.coordinator);
-            let poll = Request::Poll {
+            let poll = Request::PollAny {
                 worker: worker.to_string(),
-                job: coordinator.job(),
-                fingerprint: coordinator.fingerprint(),
             };
-            match coordinator.handle(&poll) {
+            match entry.coordinator.handle(&poll) {
                 assign @ Response::Assign { .. } => {
                     let entry = &mut table.entries[at];
                     entry.deficit -= 1;
@@ -626,6 +630,23 @@ mod tests {
             rounds: 1,
         });
         assert!(matches!(bad, Response::Error { .. }), "{bad:?}");
+        // More shards than the 8-trial budget can fill: refused at
+        // admission, before the job gets a directory or any per-shard
+        // state (u32::MAX shards would not fit in memory).
+        for shards in [9, u32::MAX] {
+            let r = server.handle(&Request::SubmitJob {
+                spec: spec(1).encode(),
+                batch: 4,
+                shards,
+                rounds: 1,
+            });
+            assert!(
+                matches!(r, Response::Error { .. }),
+                "{shards} shards → {r:?}"
+            );
+        }
+        assert!(server.jobs().is_empty(), "no job admitted");
+        assert!(!server.store().job_dir(spec(1).job_digest()).exists());
         for request in [
             Request::JobStatus { job: 42 },
             Request::CancelJob { job: 42 },
@@ -718,11 +739,8 @@ mod tests {
         ));
         // The straggler holding the pre-cancel lease is waved off, not
         // treated as faulty.
-        let (fp, epoch) = {
-            let table = server.lock_jobs();
-            let c = &table.entries[0].coordinator;
-            (c.fingerprint(), c.epoch())
-        };
+        let c = server.coordinator(job).unwrap();
+        let (fp, epoch) = (c.fingerprint(), c.epoch());
         assert_eq!(
             server.handle(&Request::Heartbeat {
                 worker: "w".to_string(),

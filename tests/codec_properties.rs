@@ -245,13 +245,8 @@ fn report(g: &mut Gen) -> AnalyzerReport {
 }
 
 fn request(g: &mut Gen) -> Request {
-    match g.below(9) {
-        0 => Request::Poll {
-            worker: g.text(),
-            job: g.u64(),
-            fingerprint: g.u64(),
-        },
-        1 => Request::Heartbeat {
+    match g.below(8) {
+        0 => Request::Heartbeat {
             worker: g.text(),
             round: g.u64(),
             shard: g.u32(),
@@ -259,7 +254,7 @@ fn request(g: &mut Gen) -> Request {
             job: g.u64(),
             fingerprint: g.u64(),
         },
-        2 => Request::Submit {
+        1 => Request::Submit {
             worker: g.text(),
             round: g.u64(),
             shard: g.u32(),
@@ -268,16 +263,16 @@ fn request(g: &mut Gen) -> Request {
             fingerprint: g.u64(),
             bytes: g.bytes(),
         },
-        3 => Request::PollAny { worker: g.text() },
-        4 => Request::SubmitJob {
+        2 => Request::PollAny { worker: g.text() },
+        3 => Request::SubmitJob {
             spec: g.bytes(),
             batch: g.u32(),
             shards: g.u32(),
             rounds: g.u64(),
         },
-        5 => Request::JobStatus { job: g.u64() },
-        6 => Request::ListJobs,
-        7 => Request::CancelJob { job: g.u64() },
+        4 => Request::JobStatus { job: g.u64() },
+        5 => Request::ListJobs,
+        6 => Request::CancelJob { job: g.u64() },
         _ => Request::WatchProgress { job: g.u64() },
     }
 }

@@ -1,12 +1,14 @@
 //! The coordinator's determinism contract, end to end over real TCP.
 //!
-//! The claim under test: an R-round × N-shard run driven by `fnas-coord`
-//! over the wire — with workers dying, leases expiring and shards being
-//! speculatively re-dispatched — produces a final checkpoint
-//! **byte-identical** to the same rounds driven sequentially in one
-//! process by [`fnas_coord::run_rounds_local`]. Scheduling decides who
-//! computes; it can never change what the result is.
+//! The claim under test: an R-round × N-shard run driven over the wire
+//! by a one-job server (what `fnas-coord serve` runs) — with workers
+//! dying, leases expiring and shards being speculatively re-dispatched —
+//! produces a final checkpoint **byte-identical** to the same rounds
+//! driven sequentially in one process by
+//! [`fnas_coord::run_rounds_local`]. Scheduling decides who computes; it
+//! can never change what the result is.
 
+use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -14,11 +16,14 @@ use std::sync::Arc;
 use fnas::experiment::ExperimentPreset;
 use fnas::search::{BatchOptions, SearchConfig, ShardSpec};
 use fnas_coord::framing::{read_frame, write_frame};
+use fnas_coord::proto::answer;
 use fnas_coord::{
-    init_for_round, journal, merge_settled, run_round_shard, run_rounds_local, run_worker, Clock,
-    Coordinator, CoordinatorOptions, Journal, LeasePolicy, Request, Response, WallClock,
+    init_for_round, journal, merge_settled, run_fleet_worker, run_round_shard, run_rounds_local,
+    Clock, Coordinator, CoordinatorOptions, Journal, LeasePolicy, Request, Response, WallClock,
     WorkerOptions,
 };
+use fnas_serve::{ServeOptions, Server};
+use fnas_store::Store;
 use proptest::prelude::*;
 
 const SHARDS: u32 = 3;
@@ -39,19 +44,58 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-/// Polls once with the right fingerprint, takes the assignment, and
-/// vanishes without ever heartbeating or submitting — the wire-level
-/// shape of a worker killed mid-round. Returns what it was assigned.
-fn desert_one_assignment(addr: &str, fingerprint: u64) -> Option<(u64, u32)> {
-    let poll = Request::Poll {
-        worker: "deserter".to_string(),
-        job: base().job().job_digest(),
-        fingerprint,
+/// A one-job server rooted at `root` — the `fnas-coord serve` shape —
+/// with [`base`] admitted at `rounds` × [`SHARDS`] and batch 3. Returns
+/// the server and the job's digest.
+fn one_job_server(root: &Path, lease: LeasePolicy, rounds: u64) -> (Arc<Server>, u64) {
+    let opts = ServeOptions {
+        max_jobs: 1,
+        expect_jobs: 1,
+        quantum: 1,
+        backoff_ms: 20,
+        linger_ms: 1_500,
+        lease,
+        max_buffered_rounds: 2,
     };
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write_frame(&mut stream, &poll.to_bytes()).unwrap();
-    let response = Response::from_bytes(&read_frame(&mut stream).unwrap()).unwrap();
-    match response {
+    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
+    let server = Arc::new(Server::new(root, opts, clock).unwrap());
+    let admitted = server.handle(&Request::SubmitJob {
+        spec: base().job().encode(),
+        batch: 3,
+        shards: SHARDS,
+        rounds,
+    });
+    match admitted {
+        Response::JobAccepted { job } => (server, job),
+        other => panic!("expected JobAccepted, got {other:?}"),
+    }
+}
+
+/// Spawns `names` fleet workers against `addr`, scratch under `dir`.
+fn fleet(
+    addr: &str,
+    dir: &Path,
+    names: &[&str],
+    heartbeat_ms: u64,
+) -> Vec<std::thread::JoinHandle<fnas::Result<fnas_coord::WorkerReport>>> {
+    names
+        .iter()
+        .map(|name| {
+            let mut w = WorkerOptions::new(addr, *name, dir.join(name));
+            w.heartbeat_ms = heartbeat_ms;
+            std::thread::spawn(move || run_fleet_worker(&opts(), &w))
+        })
+        .collect()
+}
+
+/// Polls once, takes the assignment, and vanishes without ever
+/// heartbeating or submitting — the wire-level shape of a worker killed
+/// mid-round. Returns what it was assigned.
+fn desert_one_assignment(addr: &str) -> Option<(u64, u32)> {
+    let poll = Request::PollAny {
+        worker: "deserter".to_string(),
+    };
+    match rpc(addr, &poll) {
         Response::Assign { round, shard, .. } => Some((round, shard)),
         other => panic!("deserter expected an assignment, got {other:?}"),
     }
@@ -72,38 +116,20 @@ fn killed_worker_coordinated_run_matches_sequential_bytes() {
     let addr = listener.local_addr().unwrap().to_string();
     let mut lease = LeasePolicy::with_ttl_ms(300);
     lease.straggle_after_ms = 150;
-    let coord_opts = CoordinatorOptions {
-        shards: SHARDS,
-        rounds: ROUNDS,
-        lease,
-        backoff_ms: 20,
-        linger_ms: 1_500,
-        max_buffered_rounds: 2,
-    };
-    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-    let coord = Arc::new(Coordinator::new(base(), 3, coord_opts, clock).unwrap());
-    let fingerprint = coord.fingerprint();
-
+    let (server, job) = one_job_server(&dir.join("serve"), lease, ROUNDS);
     let serve = {
-        let coord = Arc::clone(&coord);
-        std::thread::spawn(move || coord.serve(listener))
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run(listener))
     };
 
     // The first assignment (round 0, shard 0) is taken and abandoned.
-    let deserted = desert_one_assignment(&addr, fingerprint).unwrap();
+    let deserted = desert_one_assignment(&addr).unwrap();
     assert_eq!(deserted, (0, 0));
 
     // Two real workers serve the rest of the run between them.
-    let workers: Vec<_> = ["w1", "w2"]
-        .into_iter()
-        .map(|name| {
-            let mut w = WorkerOptions::new(addr.clone(), name, dir.join(name));
-            w.heartbeat_ms = 50;
-            std::thread::spawn(move || run_worker(&base(), &opts(), &w, SHARDS, ROUNDS))
-        })
-        .collect();
+    let workers = fleet(&addr, &dir, &["w1", "w2"], 50);
 
-    let merged = serve.join().unwrap().unwrap();
+    serve.join().unwrap().unwrap();
     let mut fresh = 0;
     for handle in workers {
         let report = handle.join().unwrap().unwrap();
@@ -112,14 +138,16 @@ fn killed_worker_coordinated_run_matches_sequential_bytes() {
     }
 
     // Byte identity with the sequential reference, despite the kill.
-    assert_eq!(merged.to_bytes(), reference);
+    let merged = server.store().get_artifact(job, "merged.ckpt").unwrap();
+    assert_eq!(merged, reference);
+    let merged = fnas::checkpoint::SearchCheckpoint::from_bytes(&merged).unwrap();
     assert_eq!(merged.trials.len(), 12 * ROUNDS as usize);
 
     // The deserted shard was recovered — speculatively replicated while
     // its lease aged, or returned to the pool when it expired (whichever
     // the timing produced) — and every shard settled exactly once from a
     // live worker (the deserter never submitted).
-    let t = coord.telemetry().snapshot();
+    let t = server.coordinator(job).unwrap().telemetry().snapshot();
     assert!(
         t.shards_redispatched >= 1 || t.leases_expired >= 1,
         "deserted shard was never recovered: {t:?}"
@@ -145,39 +173,23 @@ fn straggler_replicas_settle_first_wins_and_match_sequential_bytes() {
     // so the three workers end up racing replicas of each other's shards.
     let mut lease = LeasePolicy::with_ttl_ms(5_000);
     lease.straggle_after_ms = 20;
-    let coord_opts = CoordinatorOptions {
-        shards: SHARDS,
-        rounds: 1,
-        lease,
-        backoff_ms: 20,
-        linger_ms: 1_500,
-        max_buffered_rounds: 2,
-    };
-    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-    let coord = Arc::new(Coordinator::new(base(), 3, coord_opts, clock).unwrap());
-
+    let (server, job) = one_job_server(&dir.join("serve"), lease, 1);
     let serve = {
-        let coord = Arc::clone(&coord);
-        std::thread::spawn(move || coord.serve(listener))
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run(listener))
     };
-    let workers: Vec<_> = ["w1", "w2", "w3"]
-        .into_iter()
-        .map(|name| {
-            let mut w = WorkerOptions::new(addr.clone(), name, dir.join(name));
-            w.heartbeat_ms = 25;
-            std::thread::spawn(move || run_worker(&base(), &opts(), &w, SHARDS, 1))
-        })
-        .collect();
+    let workers = fleet(&addr, &dir, &["w1", "w2", "w3"], 25);
 
-    let merged = serve.join().unwrap().unwrap();
+    serve.join().unwrap().unwrap();
     let mut duplicates = 0;
     for handle in workers {
         let report = handle.join().unwrap().unwrap();
         duplicates += report.duplicate_results;
     }
 
-    assert_eq!(merged.to_bytes(), reference);
-    let t = coord.telemetry().snapshot();
+    let merged = server.store().get_artifact(job, "merged.ckpt").unwrap();
+    assert_eq!(merged, reference);
+    let t = server.coordinator(job).unwrap().telemetry().snapshot();
     assert_eq!(
         t.duplicate_results, duplicates,
         "worker/coordinator books agree"
@@ -219,45 +231,30 @@ fn precompute_shards(dir: &Path, shards: u32) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
 
 /// The HA contract end to end: incarnation A journals round 0 and one
 /// shard of round 1 over real TCP, "crashes" (abandoned mid-round),
-/// and incarnation B on the same journal dir — but a fresh port —
-/// resumes exactly where A stopped, fences A's in-flight results by
-/// epoch, and finishes **byte-identical** to the sequential reference
-/// with `workers` live workers.
+/// and incarnation B on the same root — but a fresh port — resumes
+/// exactly where A stopped, fences A's in-flight results by epoch, and
+/// finishes **byte-identical** to the sequential reference with
+/// `workers` live workers.
 fn kill_restart_recovery(worker_names: &[&str], tag: &str) {
     let dir = tmp(tag);
-    let wal_dir = dir.join("wal");
+    let root = dir.join("serve");
     let reference = run_rounds_local(&base(), &opts(), SHARDS, ROUNDS, &dir.join("local"))
         .unwrap()
         .to_bytes();
     let (r0, r1) = precompute_shards(&dir, SHARDS);
-
-    let coord_opts = CoordinatorOptions {
-        shards: SHARDS,
-        rounds: ROUNDS,
-        lease: LeasePolicy::with_ttl_ms(5_000),
-        backoff_ms: 20,
-        linger_ms: 1_500,
-        max_buffered_rounds: 2,
-    };
-    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
+    let lease = LeasePolicy::with_ttl_ms(5_000);
 
     // Incarnation A: epoch 0, cold start. Settles all of round 0 and
     // shard 0 of round 1 over the wire, then is abandoned mid-round —
     // its serve thread is never joined, the wire-level shape of a
-    // SIGKILL. Only the journal directory survives it.
+    // SIGKILL. Only the root directory survives it.
     let listener_a = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr_a = listener_a.local_addr().unwrap().to_string();
-    let coord_a = Arc::new(
-        Coordinator::with_journal(base(), 3, coord_opts.clone(), Arc::clone(&clock), &wal_dir)
-            .unwrap(),
-    );
+    let (server_a, job) = one_job_server(&root, lease, ROUNDS);
+    let coord_a = server_a.coordinator(job).unwrap();
     assert_eq!((coord_a.epoch(), coord_a.rounds_recovered()), (0, 0));
     let fingerprint = coord_a.fingerprint();
-    let job = coord_a.job();
-    {
-        let coord = Arc::clone(&coord_a);
-        std::thread::spawn(move || coord.serve(listener_a));
-    }
+    std::thread::spawn(move || server_a.run(listener_a));
     for (s, bytes) in r0.iter().enumerate() {
         let response = rpc(
             &addr_a,
@@ -291,18 +288,17 @@ fn kill_restart_recovery(worker_names: &[&str], tag: &str) {
     );
     assert_eq!(response, Response::Accepted { fresh: true });
 
-    // Incarnation B: same journal dir, fresh port. It must come up in
-    // round 1 with shard 0 already settled, at the next epoch.
+    // Incarnation B: same root, fresh port. It must come up in round 1
+    // with shard 0 already settled, at the next epoch.
     let listener_b = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr_b = listener_b.local_addr().unwrap().to_string();
-    let coord_b = Arc::new(
-        Coordinator::with_journal(base(), 3, coord_opts, Arc::clone(&clock), &wal_dir).unwrap(),
-    );
+    let (server_b, _) = one_job_server(&root, lease, ROUNDS);
+    let coord_b = server_b.coordinator(job).unwrap();
     assert_eq!(coord_b.epoch(), 1, "restart takes the next epoch");
     assert_eq!(coord_b.rounds_recovered(), 1, "round 0 replays from spills");
     let serve_b = {
-        let coord = Arc::clone(&coord_b);
-        std::thread::spawn(move || coord.serve(listener_b))
+        let server = Arc::clone(&server_b);
+        std::thread::spawn(move || server.run(listener_b))
     };
 
     // A result dispatched by incarnation A arrives late, carrying A's
@@ -323,22 +319,15 @@ fn kill_restart_recovery(worker_names: &[&str], tag: &str) {
     );
     assert_eq!(stale, Response::Stale { epoch: 1 });
 
-    let workers: Vec<_> = worker_names
-        .iter()
-        .map(|name| {
-            let mut w = WorkerOptions::new(addr_b.clone(), *name, dir.join(name));
-            w.heartbeat_ms = 50;
-            std::thread::spawn(move || run_worker(&base(), &opts(), &w, SHARDS, ROUNDS))
-        })
-        .collect();
-    let merged = serve_b.join().unwrap().unwrap();
+    let workers = fleet(&addr_b, &dir, worker_names, 50);
+    serve_b.join().unwrap().unwrap();
     let mut fresh = 0;
     for handle in workers {
         fresh += handle.join().unwrap().unwrap().fresh_results;
     }
 
     assert_eq!(
-        merged.to_bytes(),
+        server_b.store().get_artifact(job, "merged.ckpt").unwrap(),
         reference,
         "recovered run must be byte-identical to the uninterrupted one"
     );
@@ -349,7 +338,7 @@ fn kill_restart_recovery(worker_names: &[&str], tag: &str) {
     let t = coord_b.telemetry().snapshot();
     assert_eq!(t.stale_submissions_rejected, 1);
     assert_eq!(t.rounds_recovered, 1);
-    let report = Journal::verify(&wal_dir).unwrap();
+    let report = Journal::verify(&server_b.store().job_dir(job).join("wal")).unwrap();
     assert!(report.is_ok(), "journal ends clean: {report:?}");
     std::fs::remove_dir_all(dir).unwrap();
 }
@@ -387,7 +376,6 @@ fn every_journal_prefix_recovers_cleanly_without_double_settles() {
         rounds: ROUNDS,
         lease: LeasePolicy::with_ttl_ms(5_000),
         backoff_ms: 20,
-        linger_ms: 0,
         max_buffered_rounds: 2,
     };
     let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
@@ -464,58 +452,73 @@ fn every_journal_prefix_recovers_cleanly_without_double_settles() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
-/// A worker pointed at the wrong *job* — same execution flags, different
-/// latency spec `rL` — is turned away deterministically on its first
-/// poll over real TCP: a clean `WrongJob`-driven error naming both
-/// digests, not a hang, not a fingerprint complaint, and never a
-/// settlement. The right-job workers then finish the run untouched.
+/// Without job flags, a worker's only identity check is re-deriving the
+/// digest from an `Assign`'s spec bytes. A scripted endpoint hands it an
+/// assignment whose spec bytes (a) decode to another job or (b) do not
+/// decode: the worker exits with an error naming the header digest (and
+/// for (a) the decoded one) after exactly one request — its `PollAny` —
+/// with no heartbeat and no submit.
 #[test]
-fn mismatched_job_worker_is_rejected_deterministically() {
-    let dir = tmp("wrongjob");
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let coord_opts = CoordinatorOptions {
-        shards: SHARDS,
-        rounds: 1,
-        lease: LeasePolicy::with_ttl_ms(5_000),
-        backoff_ms: 20,
-        linger_ms: 1_500,
-        max_buffered_rounds: 2,
-    };
-    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-    let coord = Arc::new(Coordinator::new(base(), 3, coord_opts, clock).unwrap());
-    let serve = {
-        let coord = Arc::clone(&coord);
-        std::thread::spawn(move || coord.serve(listener))
-    };
-
-    // Identical flags except `rL`: 9 ms instead of 10 ms. That moves the
-    // fingerprint too, but the job check answers first — the worker
-    // learns it brought the wrong *search*, not merely the wrong flags.
-    let wrong = SearchConfig::fnas(ExperimentPreset::mnist().with_trials(12), 9.0).with_seed(77);
-    assert_ne!(wrong.job().job_digest(), base().job().job_digest());
-    let mut w = WorkerOptions::new(addr.clone(), "impostor", dir.join("impostor"));
-    w.heartbeat_ms = 50;
-    let err = run_worker(&wrong, &opts(), &w, SHARDS, 1).unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("coordinator serves job"), "{msg}");
-    assert!(
-        msg.contains(&format!("{:#018x}", base().job().job_digest())),
-        "{msg}"
-    );
-    assert!(
-        msg.contains(&format!("{:#018x}", wrong.job().job_digest())),
-        "{msg}"
-    );
-
-    // The impostor held no lease and settled nothing: a right-job worker
-    // earns every shard fresh and the round completes normally.
-    let mut w = WorkerOptions::new(addr, "honest", dir.join("honest"));
-    w.heartbeat_ms = 50;
-    let report = run_worker(&base(), &opts(), &w, SHARDS, 1).unwrap();
-    assert_eq!(report.fresh_results, u64::from(SHARDS));
-    let merged = serve.join().unwrap().unwrap();
-    assert_eq!(merged.trials.len(), 12);
+fn worker_rejects_an_assignment_whose_spec_names_another_job() {
+    let dir = tmp("spec-check");
+    let job = base().job().job_digest();
+    // Identical flags except `rL`: 9 ms instead of 10 ms.
+    let other = SearchConfig::fnas(ExperimentPreset::mnist().with_trials(12), 9.0).with_seed(77);
+    let other_job = other.job().job_digest();
+    assert_ne!(other_job, job);
+    let init = init_for_round(&base(), 0, None).unwrap().to_bytes();
+    for (case, spec) in [
+        ("other job", other.job().encode()),
+        ("undecodable", vec![0xFF; 4]),
+    ] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let worker = {
+            let mut w = WorkerOptions::new(addr, "w", dir.join(case));
+            // A worker that wrongly runs the shard gives up after one
+            // unanswered request instead of the whole retry budget.
+            w.connect_retries = 1;
+            std::thread::spawn(move || run_fleet_worker(&opts(), &w))
+        };
+        let mut seen = Vec::new();
+        let (stream, _) = listener.accept().unwrap();
+        answer(stream, |request| {
+            seen.push(request.clone());
+            Response::Assign {
+                round: 0,
+                shard: 0,
+                shard_count: SHARDS,
+                lease_ms: 5_000,
+                epoch: 0,
+                job,
+                spec: spec.clone(),
+                batch: 3,
+                rounds: ROUNDS,
+                init: init.clone(),
+            }
+        });
+        let msg = worker.join().unwrap().unwrap_err().to_string();
+        assert!(msg.contains(&format!("{job:#018x}")), "{case}: {msg}");
+        if case == "other job" {
+            assert!(msg.contains(&format!("{other_job:#018x}")), "{case}: {msg}");
+        }
+        // The worker has exited, so any further request it made would
+        // already be waiting in the accept queue.
+        listener.set_nonblocking(true).unwrap();
+        let next = listener.accept().map(|_| ()).unwrap_err();
+        assert_eq!(
+            next.kind(),
+            ErrorKind::WouldBlock,
+            "{case}: a second request"
+        );
+        assert_eq!(
+            seen,
+            vec![Request::PollAny {
+                worker: "w".to_string()
+            }],
+            "{case}"
+        );
+    }
     std::fs::remove_dir_all(dir).unwrap();
 }
 

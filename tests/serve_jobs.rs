@@ -29,9 +29,8 @@ use fnas::experiment::ExperimentPreset;
 use fnas::search::{BatchOptions, SearchConfig, ShardSpec};
 use fnas_coord::framing::{read_frame, write_frame};
 use fnas_coord::{
-    init_for_round, run_fleet_worker, run_round_shard, run_rounds_local, run_worker, Clock,
-    Coordinator, CoordinatorOptions, LeasePolicy, Request, Response, WallClock, WorkerOptions,
-    JOB_STATE_CANCELLED, JOB_STATE_RUNNING,
+    init_for_round, run_fleet_worker, run_round_shard, run_rounds_local, Clock, LeasePolicy,
+    Request, Response, WallClock, WorkerOptions, JOB_STATE_CANCELLED, JOB_STATE_RUNNING,
 };
 use fnas_serve::{client, JobProgress, JobState, ServeOptions, Server};
 use fnas_store::Store;
@@ -243,6 +242,30 @@ fn small_cfg(seed: u64) -> SearchConfig {
     SearchConfig::fnas(ExperimentPreset::mnist().with_trials(6), 10.0).with_seed(seed)
 }
 
+/// A one-job server (the `fnas-coord serve` shape) with `cfg` admitted
+/// as one shard × one round, its submit budget capped at one payload
+/// and a 35 ms backoff. Returns the server and the job's digest.
+fn saturable_server(root: &std::path::Path, cfg: &SearchConfig) -> (Arc<Server>, u64) {
+    let opts = ServeOptions {
+        max_jobs: 1,
+        expect_jobs: 1,
+        quantum: 1,
+        backoff_ms: 35,
+        linger_ms: 1_000,
+        lease: LeasePolicy::with_ttl_ms(5_000),
+        max_buffered_rounds: 1,
+    };
+    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
+    let server = Arc::new(Server::new(root, opts, clock).unwrap());
+    let job = accepted_job(server.handle(&Request::SubmitJob {
+        spec: cfg.job().encode(),
+        batch: BATCH,
+        shards: 1,
+        rounds: 1,
+    }));
+    (server, job)
+}
+
 /// A submit-saturated coordinator answers `Retry` over real TCP, counts
 /// it, and accepts the byte-identical resubmission once the buffered
 /// payload drains — the deferred result is delayed, never changed.
@@ -266,19 +289,11 @@ fn saturated_submit_is_answered_retry_and_resubmission_settles() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let coord_opts = CoordinatorOptions {
-        shards: 1,
-        rounds: 1,
-        lease: LeasePolicy::with_ttl_ms(5_000),
-        backoff_ms: 35,
-        linger_ms: 1_000,
-        max_buffered_rounds: 1,
-    };
-    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-    let coord = Arc::new(Coordinator::new(cfg.clone(), BATCH as usize, coord_opts, clock).unwrap());
+    let (server, job) = saturable_server(&dir.join("serve"), &cfg);
+    let coord = server.coordinator(job).unwrap();
     let serve = {
-        let coord = Arc::clone(&coord);
-        std::thread::spawn(move || coord.serve(listener))
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run(listener))
     };
 
     // Saturate the submit budget: `--max-buffered-rounds 1` × 1 shard
@@ -301,8 +316,9 @@ fn saturated_submit_is_answered_retry_and_resubmission_settles() {
 
     drop(slot);
     assert_eq!(rpc(&addr, &submit), Response::Accepted { fresh: true });
-    let merged = serve.join().unwrap().unwrap();
-    assert_eq!(merged.to_bytes(), reference);
+    serve.join().unwrap().unwrap();
+    let merged = server.store().get_artifact(job, "merged.ckpt").unwrap();
+    assert_eq!(merged, reference);
     std::fs::remove_dir_all(dir).unwrap();
 }
 
@@ -320,27 +336,18 @@ fn worker_rides_out_submit_saturation_and_meters_the_backoff() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let coord_opts = CoordinatorOptions {
-        shards: 1,
-        rounds: 1,
-        lease: LeasePolicy::with_ttl_ms(5_000),
-        backoff_ms: 35,
-        linger_ms: 1_000,
-        max_buffered_rounds: 1,
-    };
-    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-    let coord = Arc::new(Coordinator::new(cfg.clone(), BATCH as usize, coord_opts, clock).unwrap());
+    let (server, job) = saturable_server(&dir.join("serve"), &cfg);
+    let coord = server.coordinator(job).unwrap();
     let serve = {
-        let coord = Arc::clone(&coord);
-        std::thread::spawn(move || coord.serve(listener))
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run(listener))
     };
     let slot = coord.try_admit_submit().unwrap();
 
     let worker = {
         let mut w = WorkerOptions::new(addr.clone(), "patient", dir.join("patient"));
         w.heartbeat_ms = 50;
-        let cfg = cfg.clone();
-        std::thread::spawn(move || run_worker(&cfg, &opts(), &w, 1, 1))
+        std::thread::spawn(move || run_fleet_worker(&opts(), &w))
     };
 
     // Hold the slot until the worker has demonstrably been deferred at
@@ -352,9 +359,10 @@ fn worker_rides_out_submit_saturation_and_meters_the_backoff() {
     }
     drop(slot);
 
-    let merged = serve.join().unwrap().unwrap();
+    serve.join().unwrap().unwrap();
     let report = worker.join().unwrap().unwrap();
-    assert_eq!(merged.to_bytes(), reference);
+    let merged = server.store().get_artifact(job, "merged.ckpt").unwrap();
+    assert_eq!(merged, reference);
     assert_eq!(report.fresh_results, 1);
     assert!(report.retries_served >= 1, "{report:?}");
     assert!(

@@ -391,20 +391,15 @@ impl PolicyRnn {
                     DecisionKind::FilterSize => &mut self.head_fs,
                     DecisionKind::FilterCount => &mut self.head_fn,
                 };
-                let gw = dz.outer(h).map_err(fnas_nn::NnError::from)?;
                 head.grad_w
-                    .add_scaled(&gw, 1.0)
+                    .add_outer(&dz, h)
                     .map_err(fnas_nn::NnError::from)?;
                 head.grad_b
                     .add_scaled(&dz, 1.0)
                     .map_err(fnas_nn::NnError::from)?;
             }
             let head = self.head(kind);
-            let dh_head = head
-                .w
-                .transpose()
-                .and_then(|wt| wt.matvec(&dz))
-                .map_err(fnas_nn::NnError::from)?;
+            let dh_head = head.w.matvec_t(&dz).map_err(fnas_nn::NnError::from)?;
             let dh = dh_head.add(&dh_next).map_err(fnas_nn::NnError::from)?;
             let (dx, dh_prev, dc_prev) =
                 self.cell.backward_step(&episode.caches[t], &dh, &dc_next)?;

@@ -311,6 +311,14 @@ impl LatencyEvaluator {
         })
     }
 
+    /// The analytic latency of `arch` if an earlier lookup already
+    /// produced it, counted as a cache hit. `None` counts nothing, so a
+    /// caller that falls back to [`LatencyEvaluator::latency`] records one
+    /// lookup in all. Never runs a pipeline stage or reads the store.
+    pub fn memo_latency(&self, arch: &ChildArch) -> Option<Millis> {
+        self.reports.peek(arch).map(|report| report.latency)
+    }
+
     /// Analytic latency of `arch` (Eq. 5), memoised.
     ///
     /// The analyzer runs outside the cache's shard lock, so concurrent

@@ -168,11 +168,19 @@ impl<'a> EpisodeRunner<'a> {
         telemetry.add_sampled(n as u64);
         let archs: Vec<ChildArch> = samples.iter().map(|s| s.arch().clone()).collect();
 
+        // Memo-first dispatch: children the oracle has already answered
+        // are read in this thread, and only the misses go to the pool, so a
+        // warm episode spawns no worker threads. Cache counters are the
+        // same either way: a memo hit counts one hit, a dispatched child
+        // whatever its lookup counts.
         let oracle = self.oracle;
         let latencies: Vec<Result<Millis>> = {
             let _t = telemetry.phase_timer(Phase::Latency);
-            self.executor
-                .map(&archs, |_, arch| oracle.child_latency(arch))
+            self.executor.map_memo(
+                &archs,
+                |_, arch| oracle.latency_eval().memo_latency(arch).map(Ok),
+                |_, arch| oracle.child_latency(arch),
+            )
         };
 
         // Which children go to the accuracy oracle. FNAS: buildable and
@@ -191,7 +199,7 @@ impl<'a> EpisodeRunner<'a> {
 
         let run_seed = self.config.seed();
         let episode = snapshot.episode;
-        // `map_settle`: a panicking child evaluation settles into a
+        // `map_settle_memo`: a panicking child evaluation settles into a
         // per-slot fault instead of unwinding through the pool and
         // killing the whole search.
         // Optional watchdog: each child gets its *own* fresh deadline of
@@ -201,14 +209,21 @@ impl<'a> EpisodeRunner<'a> {
         let deadline_ticks = self.config.child_deadline_ticks();
         let accuracies = {
             let _t = telemetry.phase_timer(Phase::Accuracy);
-            self.executor.map_settle(&archs, |child, arch| {
-                if !needs_accuracy[child] {
-                    return None;
-                }
-                let seed = derive_child_seed(run_seed, episode, child as u64);
-                let deadline = deadline_ticks.map(Deadline::new);
-                Some(oracle.accuracy_seeded_deadline(arch, seed, deadline.as_ref()))
-            })
+            self.executor.map_settle_memo(
+                &archs,
+                |child, arch| {
+                    if needs_accuracy[child] {
+                        oracle.memo_accuracy(arch).map(|a| Some(Ok(a)))
+                    } else {
+                        Some(None)
+                    }
+                },
+                |child, arch| {
+                    let seed = derive_child_seed(run_seed, episode, child as u64);
+                    let deadline = deadline_ticks.map(Deadline::new);
+                    Some(oracle.accuracy_seeded_deadline(arch, seed, deadline.as_ref()))
+                },
+            )
         };
 
         // Serial epilogue, in sample order: rewards see the baseline as

@@ -84,6 +84,19 @@ impl ChildOracle {
         self.latency.latency(arch)
     }
 
+    /// The memoised accuracy of `arch`, counted as one cache hit, when the
+    /// oracle is deterministic and has answered `arch` before. `None`
+    /// counts nothing, so a caller that falls back to
+    /// [`ChildOracle::accuracy_seeded_deadline`] records one lookup in
+    /// all.
+    pub fn memo_accuracy(&self, arch: &ChildArch) -> Option<f32> {
+        if self.evaluator.deterministic() {
+            self.accuracy_cache.peek(arch)
+        } else {
+            None
+        }
+    }
+
     /// Accuracy of `arch` with an explicit RNG, bypassing the memo cache —
     /// the sequential loop's path, where the caller threads one RNG
     /// through every trial.

@@ -282,6 +282,11 @@ fn batched_runs_all_trials_and_reports_telemetry() {
         t.accuracy_cache_hits + t.accuracy_cache_misses,
         t.train_calls
     );
+    // One latency lookup per child, whether the memo or the pool answers.
+    assert_eq!(
+        t.latency_cache_hits + t.latency_cache_misses,
+        t.children_sampled
+    );
     assert!(t.latency_cache_misses > 0);
 }
 

@@ -139,6 +139,19 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
     /// miss (callers that want to share the in-flight result should use
     /// [`ShardedCache::get_or_try_insert_with`]).
     pub fn get(&self, key: &K) -> Option<V> {
+        let found = self.peek(key);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// Looks up a ready value for `key`, counting a hit when there is one
+    /// and nothing otherwise (an absent key, or one still being computed
+    /// by a single-flight leader). A caller that falls back to
+    /// [`ShardedCache::get_or_try_insert_with`] on `None` therefore
+    /// records exactly the one lookup that call records.
+    pub fn peek(&self, key: &K) -> Option<V> {
         let found = match self
             .shard_for(key)
             .lock()
@@ -148,10 +161,9 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
             Some(Slot::Ready(v)) => Some(v.clone()),
             Some(Slot::InFlight(_)) | None => None,
         };
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
         found
     }
 
@@ -346,6 +358,26 @@ mod tests {
         cache.insert(7, 1);
         assert_eq!(cache.get(&7), Some(1));
         assert_eq!(cache.hit_rate(), 0.5);
+    }
+
+    #[test]
+    fn peek_counts_only_hits() {
+        let cache: ShardedCache<u64, u64> = ShardedCache::new();
+        assert_eq!(cache.peek(&7), None);
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        // Peek, then fall back: one miss, exactly as the fallback alone.
+        let v: Result<u64, ()> = cache.get_or_try_insert_with(&7, || Ok(70));
+        assert_eq!(v, Ok(70));
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!(cache.peek(&7), Some(70));
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // A key still being computed is not ready: no value, no count.
+        let r: Result<u64, ()> = cache.get_or_try_insert_with(&8, || {
+            assert_eq!(cache.peek(&8), None);
+            Ok(80)
+        });
+        assert_eq!(r, Ok(80));
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! closure runs under `catch_unwind`, so a panicking item becomes an
 //! `Err(`[`TaskFault`]`)` in its slot instead of killing the batch (and
 //! with it the whole search run).
+//!
+//! [`Executor::map_memo`] and [`Executor::map_settle_memo`] first ask a
+//! memo for every item in the calling thread and dispatch only the items
+//! it cannot answer, so a batch the memo answers spawns no thread.
 
 use std::error::Error;
 use std::fmt;
@@ -212,10 +216,58 @@ impl Executor {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.map(items, |i, t| {
-            panic::catch_unwind(AssertUnwindSafe(|| f(i, t)))
-                .map_err(|payload| TaskFault::from_payload(i, payload))
-        })
+        self.map_settle_memo(items, |_, _| None, f)
+    }
+
+    /// Like [`Executor::map`], but first asks `memo` for every item, in the
+    /// calling thread and in input order, and sends only the items it
+    /// cannot answer to the pool. `f` still receives each item's index in
+    /// `items`, and results come back in input order.
+    ///
+    /// Spawning workers costs far more than a memo lookup, and a batch of
+    /// one runs inline, so a batch with at most one miss spawns nothing.
+    pub fn map_memo<T, R, M, F>(&self, items: &[T], mut memo: M, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        M: FnMut(usize, &T) -> Option<R>,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        let mut slots: Vec<Option<R>> = items.iter().enumerate().map(|(i, t)| memo(i, t)).collect();
+        let misses: Vec<usize> = (0..items.len()).filter(|&i| slots[i].is_none()).collect();
+        let computed = self.map(&misses, |_, &i| f(i, &items[i]));
+        for (i, r) in misses.into_iter().zip(computed) {
+            slots[i] = Some(r);
+        }
+        slots
+            .into_iter()
+            .map(|r| r.expect("every miss was computed"))
+            .collect()
+    }
+
+    /// [`Executor::map_settle`] with [`Executor::map_memo`]'s memo-first
+    /// dispatch: a panicking miss settles to a [`TaskFault`] that names
+    /// its index in `items`.
+    pub fn map_settle_memo<T, R, M, F>(
+        &self,
+        items: &[T],
+        mut memo: M,
+        f: F,
+    ) -> Vec<Result<R, TaskFault>>
+    where
+        T: Sync,
+        R: Send,
+        M: FnMut(usize, &T) -> Option<R>,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        self.map_memo(
+            items,
+            |i, t| memo(i, t).map(Ok),
+            |i, t| {
+                panic::catch_unwind(AssertUnwindSafe(|| f(i, t)))
+                    .map_err(|payload| TaskFault::from_payload(i, payload))
+            },
+        )
     }
 }
 
@@ -347,6 +399,54 @@ mod tests {
                     assert_eq!(*r.as_ref().expect("item should settle"), i as u64 + 100);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn map_memo_dispatches_only_the_misses() {
+        let items: Vec<u64> = (0..40).collect();
+        let expect: Vec<u64> = items.iter().map(|&x| x * 7).collect();
+        for workers in [0usize, 1, 2, 8] {
+            let calls = AtomicU64::new(0);
+            let mut asked = Vec::new();
+            let got = Executor::with_workers(workers).map_memo(
+                &items,
+                |i, &x| {
+                    asked.push(i);
+                    (x % 3 != 0).then_some(x * 7)
+                },
+                |i, &x| {
+                    assert_eq!(i as u64, x, "f sees the item's index in the batch");
+                    assert_eq!(x % 3, 0, "memo hits are never dispatched");
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    x * 7
+                },
+            );
+            assert_eq!(got, expect, "workers = {workers}");
+            assert_eq!(asked, (0..40).collect::<Vec<_>>(), "memo asked in order");
+            assert_eq!(calls.load(Ordering::Relaxed), 14, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn map_settle_memo_faults_name_the_batch_index() {
+        let items: Vec<u64> = (0..12).collect();
+        for workers in [0usize, 2] {
+            let got = Executor::with_workers(workers).map_settle_memo(
+                &items,
+                |_, &x| (x < 8).then_some(x),
+                |_, &x| {
+                    assert!(x != 10, "boom");
+                    x
+                },
+            );
+            for (i, r) in got.iter().enumerate() {
+                match r {
+                    Ok(v) => assert_eq!(*v, i as u64),
+                    Err(fault) => assert_eq!((i, fault.index()), (10, 10)),
+                }
+            }
+            assert!(got[10].is_err(), "workers = {workers}");
         }
     }
 

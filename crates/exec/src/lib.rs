@@ -13,7 +13,9 @@
 //!   returns results **in input order**, so downstream consumers are
 //!   independent of thread interleaving; its fault-isolating
 //!   [`Executor::map_settle`] variant settles per-item panics into
-//!   [`TaskFault`]s instead of killing the batch;
+//!   [`TaskFault`]s instead of killing the batch, and
+//!   [`Executor::map_memo`] answers memo hits in the calling thread and
+//!   sends only the misses to the pool;
 //! * [`cache`] — a lock-striped memo cache ([`ShardedCache`]) shared
 //!   across workers and across search episodes, with overflow-safe atomic
 //!   hit/miss counters and **single-flight** fallible inserts: concurrent

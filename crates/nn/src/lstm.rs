@@ -232,11 +232,11 @@ impl LstmCell {
             *dz.at_mut(2 * hs + j) = d_g * (1.0 - g * g);
             *dz.at_mut(3 * hs + j) = d_o * o * (1.0 - o);
         }
-        self.grad_w_x.add_scaled(&dz.outer(&cache.x)?, 1.0)?;
-        self.grad_w_h.add_scaled(&dz.outer(&cache.h_prev)?, 1.0)?;
+        self.grad_w_x.add_outer(&dz, &cache.x)?;
+        self.grad_w_h.add_outer(&dz, &cache.h_prev)?;
         self.grad_b.add_scaled(&dz, 1.0)?;
-        let dx = self.w_x.transpose()?.matvec(&dz)?;
-        let dh_prev = self.w_h.transpose()?.matvec(&dz)?;
+        let dx = self.w_x.matvec_t(&dz)?;
+        let dh_prev = self.w_h.matvec_t(&dz)?;
         Ok((dx, dh_prev, dc_prev))
     }
 

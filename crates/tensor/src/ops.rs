@@ -161,6 +161,10 @@ impl Tensor {
 
     /// Matrix–vector product of a rank-2 tensor with a rank-1 tensor.
     ///
+    /// Each output element adds the rounded products `self[i][j] · v[j]`
+    /// for `j` ascending, starting from −0.0 as `Iterator::sum` over `f32`
+    /// does, so a row of −0.0 products sums to −0.0.
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] for wrong ranks and
@@ -189,12 +193,124 @@ impl Tensor {
         }
         let a = self.as_slice();
         let x = v.as_slice();
-        let mut out = vec![0.0f32; m];
-        for i in 0..m {
-            let row = &a[i * k..(i + 1) * k];
-            out[i] = row.iter().zip(x).map(|(&r, &xv)| r * xv).sum();
+        let mut out = vec![-0.0f32; m];
+        if k == 0 {
+            return Tensor::from_vec(out, &[m][..]);
+        }
+        // Four rows share each pass over `x`, each with its own running sum
+        // starting where `Iterator::sum` starts (−0.0): four independent
+        // dependency chains instead of one, while every element still adds
+        // its products in ascending column order, exactly as a one-row
+        // `sum` would.
+        for (block, dst) in a.chunks_exact(4 * k).zip(out.chunks_exact_mut(4)) {
+            let (r0, rest) = block.split_at(k);
+            let (r1, rest) = rest.split_at(k);
+            let (r2, r3) = rest.split_at(k);
+            let mut acc = [-0.0f32; 4];
+            for (j, &xv) in x.iter().enumerate() {
+                acc[0] += r0[j] * xv;
+                acc[1] += r1[j] * xv;
+                acc[2] += r2[j] * xv;
+                acc[3] += r3[j] * xv;
+            }
+            dst.copy_from_slice(&acc);
+        }
+        let done = m / 4 * 4;
+        for (o, row) in out[done..].iter_mut().zip(a[done * k..].chunks_exact(k)) {
+            *o = row.iter().zip(x).fold(-0.0, |acc, (&r, &xv)| acc + r * xv);
         }
         Tensor::from_vec(out, &[m][..])
+    }
+
+    /// Transposed matrix–vector product `selfᵀ · v` of an `[m × n]` matrix
+    /// and a length-`m` vector, without materialising the transpose.
+    ///
+    /// Bit-identical to `self.transpose()?.matvec(v)`: each output element
+    /// starts from −0.0, which is where `Iterator::sum` over `f32` starts,
+    /// and adds the rounded product `self[i][j] · v[i]` for `i` ascending.
+    /// That is the same sequence of operations, in the same order and with
+    /// the same operand order, that `matvec` applies to a transposed row.
+    /// The sum is never fused into a multiply-add, which would round once
+    /// where the reference rounds twice.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] for wrong ranks and
+    /// [`TensorError::MatmulDimMismatch`] if `v`'s length is not the row
+    /// count.
+    pub fn matvec_t(&self, v: &Tensor) -> Result<Tensor> {
+        if self.rank() != 2 {
+            return Err(TensorError::RankMismatch {
+                expected: 2,
+                actual: self.rank(),
+                op: "matvec_t",
+            });
+        }
+        if v.rank() != 1 {
+            return Err(TensorError::RankMismatch {
+                expected: 1,
+                actual: v.rank(),
+                op: "matvec_t",
+            });
+        }
+        let (m, n) = (self.shape().dim(0), self.shape().dim(1));
+        if m != v.len() {
+            return Err(TensorError::MatmulDimMismatch {
+                left_cols: m,
+                right_rows: v.len(),
+            });
+        }
+        let mut out = vec![-0.0f32; n];
+        if n > 0 {
+            for (row, &vi) in self.as_slice().chunks_exact(n).zip(v.as_slice()) {
+                for (o, &aij) in out.iter_mut().zip(row) {
+                    *o += aij * vi;
+                }
+            }
+        }
+        Tensor::from_vec(out, &[n][..])
+    }
+
+    /// Adds the outer product `x ⊗ y` into this `[m × n]` matrix in place:
+    /// `self[i][j] += x[i] · y[j]`.
+    ///
+    /// Bit-identical to materialising the outer product and adding it with
+    /// `add_scaled(&outer, 1.0)`: the product is rounded, then the sum
+    /// (`b · 1.0` is exactly `b`), and the two are never fused into one
+    /// multiply-add.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] unless `self` is rank 2 and
+    /// `x`, `y` are rank 1, and [`TensorError::ShapeMismatch`] unless
+    /// `self` is `[x.len() × y.len()]`.
+    pub fn add_outer(&mut self, x: &Tensor, y: &Tensor) -> Result<()> {
+        for (t, expected) in [(&*self, 2), (x, 1), (y, 1)] {
+            if t.rank() != expected {
+                return Err(TensorError::RankMismatch {
+                    expected,
+                    actual: t.rank(),
+                    op: "add_outer",
+                });
+            }
+        }
+        let n = y.len();
+        if self.shape().dims() != [x.len(), n] {
+            return Err(TensorError::ShapeMismatch {
+                left: self.shape().clone(),
+                right: [x.len(), n].into(),
+                op: "add_outer",
+            });
+        }
+        if n > 0 {
+            let y = y.as_slice();
+            for (row, &xi) in self.as_mut_slice().chunks_exact_mut(n).zip(x.as_slice()) {
+                for (a, &yj) in row.iter_mut().zip(y) {
+                    *a += xi * yj;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Transpose of a rank-2 tensor.
@@ -219,34 +335,6 @@ impl Tensor {
             }
         }
         Tensor::from_vec(out, &[n, m][..])
-    }
-
-    /// Outer product of two rank-1 tensors: `(m) ⊗ (n) → (m × n)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless both operands are rank 1.
-    pub fn outer(&self, other: &Tensor) -> Result<Tensor> {
-        if self.rank() != 1 || other.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: if self.rank() != 1 {
-                    self.rank()
-                } else {
-                    other.rank()
-                },
-                op: "outer",
-            });
-        }
-        let (m, n) = (self.len(), other.len());
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let ai = self.at(i);
-            for j in 0..n {
-                out[i * n + j] = ai * other.at(j);
-            }
-        }
-        Tensor::from_vec(out, &[m, n][..])
     }
 
     /// Numerically stable softmax over the flat buffer.
@@ -353,9 +441,149 @@ mod tests {
     fn outer_product() {
         let a = t(&[1.0, 2.0], &[2]);
         let b = t(&[3.0, 4.0, 5.0], &[3]);
-        let o = a.outer(&b).unwrap();
-        assert_eq!(o.shape().dims(), &[2, 3]);
+        let mut o = Tensor::zeros(&[2, 3][..]);
+        o.add_outer(&a, &b).unwrap();
         assert_eq!(o.as_slice(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
+        o.add_outer(&a, &b).unwrap();
+        assert_eq!(o.as_slice(), &[6.0, 8.0, 10.0, 12.0, 16.0, 20.0]);
+    }
+
+    #[test]
+    fn add_outer_and_matvec_t_validate() {
+        let v2 = t(&[1.0, 2.0], &[2]);
+        let v3 = t(&[1.0, 2.0, 3.0], &[3]);
+        let mut m = Tensor::zeros(&[2, 3][..]);
+        assert!(matches!(
+            m.add_outer(&v3, &v2),
+            Err(TensorError::ShapeMismatch {
+                op: "add_outer",
+                ..
+            })
+        ));
+        assert!(matches!(
+            m.add_outer(&m.clone(), &v3),
+            Err(TensorError::RankMismatch {
+                op: "add_outer",
+                ..
+            })
+        ));
+        assert!(matches!(
+            m.matvec_t(&v3),
+            Err(TensorError::MatmulDimMismatch {
+                left_cols: 2,
+                right_rows: 3
+            })
+        ));
+        assert!(matches!(
+            v2.matvec_t(&v2),
+            Err(TensorError::RankMismatch { op: "matvec_t", .. })
+        ));
+        assert_eq!(m.matvec_t(&v2).unwrap().shape().dims(), &[3]);
+    }
+
+    /// Bits of every kernel output, with every NaN mapped to one value:
+    /// Rust leaves the payload and sign of a NaN result unspecified, so
+    /// two evaluations of the same operations may differ there alone.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice()
+            .iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    /// Ordinary values, the special ones (±0, subnormals, ±inf, NaN,
+    /// extremes), and arbitrary bit patterns.
+    fn any_f32() -> impl Strategy<Value = f32> {
+        const SPECIAL: [f32; 10] = [
+            0.0,
+            -0.0,
+            1.0e-40,
+            -1.0e-40,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            -1.0,
+        ];
+        (0u8..4, -4.0f32..4.0, 0usize..SPECIAL.len(), 0u32..=u32::MAX).prop_map(
+            |(kind, x, s, raw)| match kind {
+                0 | 1 => x,
+                2 => SPECIAL[s],
+                _ => f32::from_bits(raw),
+            },
+        )
+    }
+
+    /// A `[rows × cols]` matrix and two vectors of lengths `rows`, `cols`.
+    fn operands() -> impl Strategy<Value = (Tensor, Tensor, Tensor)> {
+        (0usize..10, 0usize..10, prop::collection::vec(any_f32(), 64)).prop_map(|(m, n, pool)| {
+            let take = |len: usize, skip: usize| -> Vec<f32> {
+                pool.iter().cycle().skip(skip).take(len).copied().collect()
+            };
+            (
+                Tensor::from_vec(take(m * n, 0), &[m, n][..]).unwrap(),
+                Tensor::from_vec(take(m, 7), &[m][..]).unwrap(),
+                Tensor::from_vec(take(n, 13), &[n][..]).unwrap(),
+            )
+        })
+    }
+
+    /// The one-row-at-a-time matrix–vector product the four-row `matvec`
+    /// must reproduce.
+    fn matvec_by_rows(a: &Tensor, v: &Tensor) -> Tensor {
+        let (m, k) = (a.shape().dim(0), a.shape().dim(1));
+        let out = (0..m)
+            .map(|i| {
+                a.as_slice()[i * k..(i + 1) * k]
+                    .iter()
+                    .zip(v.as_slice())
+                    .map(|(&r, &x)| r * x)
+                    .sum()
+            })
+            .collect();
+        Tensor::from_vec(out, &[m][..]).unwrap()
+    }
+
+    /// The materialised outer product `add_outer` replaces.
+    fn outer(x: &Tensor, y: &Tensor) -> Tensor {
+        let (m, n) = (x.len(), y.len());
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                out[i * n + j] = x.at(i) * y.at(j);
+            }
+        }
+        Tensor::from_vec(out, &[m, n][..]).unwrap()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn matvec_t_is_bit_identical_to_transpose_then_matvec(ops in operands()) {
+            let (a, u, _) = ops;
+            let want = a.transpose().unwrap().matvec(&u).unwrap();
+            prop_assert_eq!(bits(&a.matvec_t(&u).unwrap()), bits(&want));
+        }
+
+        #[test]
+        fn matvec_is_bit_identical_to_one_row_sums(ops in operands()) {
+            let (a, _, w) = ops;
+            prop_assert_eq!(bits(&a.matvec(&w).unwrap()), bits(&matvec_by_rows(&a, &w)));
+        }
+
+        #[test]
+        fn add_outer_is_bit_identical_to_outer_then_add_scaled(ops in operands()) {
+            let (a, u, w) = ops;
+            let mut want = a.clone();
+            want.add_scaled(&outer(&u, &w), 1.0).unwrap();
+            let mut got = a;
+            got.add_outer(&u, &w).unwrap();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]

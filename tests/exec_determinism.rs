@@ -59,6 +59,51 @@ fn fingerprint(out: &SearchOutcome) -> Fingerprint {
     )
 }
 
+/// Reward bits of the sequential trained run. The tests below pin that
+/// the worker count changes nothing; these pin the arithmetic itself.
+const TRAINED_REWARD_BITS: [u32; 8] = [
+    0x3ecb_bbbc,
+    0x3ec1_7e4b,
+    0x3e73_a06f,
+    0x3d2b_b0d2,
+    0x3e56_ae80,
+    0x3b58_7d20,
+    0x3dd8_c413,
+    0xbd9d_ae3d,
+];
+
+/// Reward bits of the sequential surrogate run.
+const SURROGATE_REWARD_BITS: [u32; 24] = [
+    0xc0b5_ab9f,
+    0x3fe4_f08c,
+    0xc034_a234,
+    0xc000_f50a,
+    0x3f29_1da3,
+    0xbfd4_4cbe,
+    0xc059_fa12,
+    0x3f7a_c981,
+    0xbfec_0725,
+    0xbfae_ae19,
+    0xbfdc_89f4,
+    0xc027_f562,
+    0xbff3_c148,
+    0xc06c_e5b4,
+    0x3f66_0bef,
+    0xc070_d9d7,
+    0xbfb2_f3e4,
+    0xbf9f_8099,
+    0xc017_6189,
+    0xc03d_aa50,
+    0xc002_4e9c,
+    0xc052_3af3,
+    0xc056_f694,
+    0xbfa0_ef9a,
+];
+
+fn reward_bits(f: &Fingerprint) -> Vec<u32> {
+    f.1.iter().map(|t| t.1).collect()
+}
+
 fn run_trained(workers: usize) -> SearchOutcome {
     let preset = tiny_preset();
     let config = SearchConfig::fnas(preset.clone(), 2.0).with_seed(33);
@@ -74,6 +119,7 @@ fn run_trained(workers: usize) -> SearchOutcome {
 #[test]
 fn trained_search_is_bit_identical_across_worker_counts() {
     let sequential = fingerprint(&run_trained(0));
+    assert_eq!(reward_bits(&sequential), TRAINED_REWARD_BITS);
     assert!(
         !sequential.1.is_empty(),
         "the run must explore at least one child"
@@ -101,6 +147,7 @@ fn surrogate_search_is_bit_identical_across_worker_counts() {
             .expect("runs")
     };
     let sequential = fingerprint(&run(0));
+    assert_eq!(reward_bits(&sequential), SURROGATE_REWARD_BITS);
     for workers in [1usize, 2, 8] {
         assert_eq!(
             fingerprint(&run(workers)),

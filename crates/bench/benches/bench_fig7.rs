@@ -7,9 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fnas::experiment::ExperimentPreset;
-use fnas::search::{SearchConfig, Searcher};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use fnas::search::{BatchOptions, SearchConfig, Searcher};
 
 fn bench_per_dataset(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7/fnas_search_8_trials");
@@ -29,10 +27,9 @@ fn bench_per_dataset(c: &mut Criterion) {
                 b.iter(|| {
                     let config =
                         SearchConfig::fnas(preset.clone().with_trials(8), ts1).with_seed(3);
-                    let mut rng = StdRng::seed_from_u64(3);
                     Searcher::surrogate(&config)
                         .expect("constructible")
-                        .run(&config, &mut rng)
+                        .run_batched(&config, &BatchOptions::sequential().with_batch_size(1))
                         .expect("runs")
                 })
             },

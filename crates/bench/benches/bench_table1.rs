@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fnas::experiment::ExperimentPreset;
 use fnas::latency::LatencyEvaluator;
-use fnas::search::{SearchConfig, Searcher};
+use fnas::search::{BatchOptions, SearchConfig, Searcher};
 use fnas_controller::arch::{ChildArch, LayerChoice};
 use fnas_controller::reinforce::ReinforceTrainer;
 use fnas_fpga::device::FpgaDevice;
@@ -65,10 +65,9 @@ fn bench_full_fnas_search(c: &mut Criterion) {
     c.bench_function("table1/fnas_search_12_trials", |b| {
         b.iter(|| {
             let config = SearchConfig::fnas(ExperimentPreset::mnist().with_trials(12), 5.0);
-            let mut rng = StdRng::seed_from_u64(7);
             Searcher::surrogate(&config)
                 .expect("constructible")
-                .run(&config, &mut rng)
+                .run_batched(&config, &BatchOptions::sequential().with_batch_size(1))
                 .expect("runs")
         })
     });

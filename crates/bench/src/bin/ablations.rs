@@ -14,13 +14,11 @@
 
 use fnas::experiment::ExperimentPreset;
 use fnas::report::{factor, Table};
-use fnas::search::{SearchConfig, Searcher};
+use fnas::search::{BatchOptions, SearchConfig, Searcher};
 use fnas_bench::{emit, fig8_architectures, fig8_design};
 use fnas_fpga::analyzer::analyze;
 use fnas_fpga::sched::{FnasScheduler, ReuseStrategy};
 use fnas_fpga::sim::simulate_design;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     scheduler_ablations()?;
@@ -76,6 +74,7 @@ fn scheduler_ablations() -> Result<(), Box<dyn std::error::Error>> {
 
 fn pruning_ablation() -> Result<(), Box<dyn std::error::Error>> {
     let preset = ExperimentPreset::mnist().with_trials(30);
+    let opts = BatchOptions::sequential().with_batch_size(1);
     let mut table = Table::new(vec![
         "configuration",
         "TC (ms)",
@@ -89,8 +88,7 @@ fn pruning_ablation() -> Result<(), Box<dyn std::error::Error>> {
             let config = SearchConfig::fnas(preset.clone(), tc)
                 .with_seed(11)
                 .with_pruning(prune);
-            let mut rng = StdRng::seed_from_u64(11);
-            let out = Searcher::surrogate(&config)?.run(&config, &mut rng)?;
+            let out = Searcher::surrogate(&config)?.run_batched(&config, &opts)?;
             results.push((prune, out));
         }
         let no_prune_minutes = results[1].1.cost().total_minutes();

@@ -26,7 +26,9 @@
 //! let mut trainer = ReinforceTrainer::new(&space, &mut rng)?;
 //! let sample = trainer.sample(&mut rng)?;
 //! assert_eq!(sample.arch().num_layers(), 4);
-//! trainer.update(&sample, 0.5)?; // reward from the FNAS framework
+//! // One REINFORCE step on a reward from the FNAS framework.
+//! trainer.accumulate_episode(&[(sample, 0.5)])?;
+//! trainer.apply_step()?;
 //! # Ok(())
 //! # }
 //! ```

@@ -63,7 +63,8 @@ pub struct TrainerState {
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let mut trainer = ReinforceTrainer::new(&SearchSpace::mnist(), &mut rng)?;
 /// let sample = trainer.sample(&mut rng)?;
-/// trainer.update(&sample, 0.8)?;
+/// trainer.accumulate_episode(&[(sample, 0.8)])?;
+/// trainer.apply_step()?;
 /// # Ok(())
 /// # }
 /// ```
@@ -146,40 +147,13 @@ impl ReinforceTrainer {
         Ok(ArchSample { arch, episode })
     }
 
-    /// Applies one REINFORCE update with the given advantage (FNAS passes
-    /// the Eq. (1) reward, which is already baselined).
-    ///
-    /// # Errors
-    ///
-    /// Returns an episode/space mismatch or optimiser error.
-    pub fn update(&mut self, sample: &ArchSample, advantage: f32) -> Result<()> {
-        self.update_batch(std::slice::from_ref(&(sample.clone(), advantage)))
-    }
-
-    /// Applies one optimiser step over the *averaged* gradient of several
-    /// episodes — the lower-variance minibatch REINFORCE of \[16\], where
-    /// gradients from a batch of child networks are combined before the
-    /// controller moves.
-    ///
-    /// # Errors
-    ///
-    /// Returns an episode/space mismatch or optimiser error; an empty batch
-    /// is a no-op. A NaN/Inf advantage anywhere in the batch is rejected
-    /// with [`ControllerError::NonFiniteAdvantage`] *before* any gradient
-    /// is accumulated — one poisoned reward would otherwise spread NaN
-    /// through every parameter on the next optimiser step.
-    pub fn update_batch(&mut self, batch: &[(ArchSample, f32)]) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.accumulate_episode(batch)?;
-        self.apply_step()
-    }
-
     /// Gradient **accumulation** — the pure half of an update: folds one
     /// episode's averaged REINFORCE gradient into the policy's gradient
-    /// buffers *without* touching the parameters or the optimiser. Results
-    /// computed elsewhere (another shard's episode, a replayed
+    /// buffers *without* touching the parameters or the optimiser. The
+    /// advantage is used as given (FNAS passes the Eq. (1) reward, which
+    /// is already baselined), and averaging over the episode is the
+    /// lower-variance minibatch REINFORCE of \[16\]. Results computed
+    /// elsewhere (another shard's episode, a replayed
     /// [`crate::reinforce::TrainerState`]) reduce deterministically by
     /// accumulating in a fixed order and then calling
     /// [`ReinforceTrainer::apply_step`] once.
@@ -188,7 +162,9 @@ impl ReinforceTrainer {
     ///
     /// Returns an episode/space mismatch, or
     /// [`ControllerError::NonFiniteAdvantage`] *before* any gradient is
-    /// accumulated if an advantage is NaN/Inf; an empty batch is a no-op.
+    /// accumulated if an advantage is NaN/Inf — one poisoned reward would
+    /// otherwise spread NaN through every parameter on the next optimiser
+    /// step. An empty batch is a no-op.
     pub fn accumulate_episode(&mut self, batch: &[(ArchSample, f32)]) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
@@ -317,7 +293,8 @@ mod tests {
             let r = score(s.episode().indices());
             let adv = r - baseline.value();
             baseline.observe(r);
-            trainer.update(&s, adv).unwrap();
+            trainer.accumulate_episode(&[(s, adv)]).unwrap();
+            trainer.apply_step().unwrap();
             if it < 30 {
                 early += r;
             }
@@ -371,53 +348,15 @@ mod tests {
                     (s, adv)
                 })
                 .collect();
-            trainer.update_batch(&batch).unwrap();
+            trainer.accumulate_episode(&batch).unwrap();
+            trainer.apply_step().unwrap();
         }
         assert_eq!(trainer.updates(), 80);
         assert!(late > early + 2.0, "late {late} vs early {early}");
-        // Empty batches are harmless no-ops.
-        trainer.update_batch(&[]).unwrap();
-        assert_eq!(trainer.updates(), 80);
-    }
-
-    #[test]
-    fn accumulate_then_apply_is_bit_identical_to_update_batch() {
-        let space = SearchSpace::mnist();
-        let score =
-            |idx: &[usize]| idx.iter().filter(|&&i| i == 0).count() as f32 / idx.len() as f32;
-        let mut rng_a = StdRng::seed_from_u64(23);
-        let mut a = ReinforceTrainer::new(&space, &mut rng_a).unwrap();
-        let mut rng_b = StdRng::seed_from_u64(23);
-        let mut b = ReinforceTrainer::new(&space, &mut rng_b).unwrap();
-        for _ in 0..10 {
-            let batch_a: Vec<(ArchSample, f32)> = (0..4)
-                .map(|_| {
-                    let s = a.sample(&mut rng_a).unwrap();
-                    let adv = score(s.episode().indices()) - 0.4;
-                    (s, adv)
-                })
-                .collect();
-            let batch_b: Vec<(ArchSample, f32)> = (0..4)
-                .map(|_| {
-                    let s = b.sample(&mut rng_b).unwrap();
-                    let adv = score(s.episode().indices()) - 0.4;
-                    (s, adv)
-                })
-                .collect();
-            a.update_batch(&batch_a).unwrap();
-            b.accumulate_episode(&batch_b).unwrap();
-            b.apply_step().unwrap();
-        }
-        assert_eq!(a.updates(), b.updates());
-        let pa = a.export_state();
-        let pb = b.export_state();
-        assert_eq!(pa.params.len(), pb.params.len());
-        for (x, y) in pa.params.iter().zip(&pb.params) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // Accumulating an empty episode leaves the next step unchanged.
-        b.accumulate_episode(&[]).unwrap();
-        assert_eq!(b.export_state().params, pb.params);
+        // Accumulating an empty episode leaves the parameters unchanged.
+        let before = trainer.export_state();
+        trainer.accumulate_episode(&[]).unwrap();
+        assert_eq!(trainer.export_state(), before);
     }
 
     #[test]
@@ -461,16 +400,18 @@ mod tests {
         let before = trainer.policy().log_prob_of(s.episode().indices()).unwrap();
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             assert!(matches!(
-                trainer.update(&s, bad),
+                trainer.accumulate_episode(&[(s.clone(), bad)]),
                 Err(ControllerError::NonFiniteAdvantage { .. })
             ));
         }
         // Mixed batches are rejected atomically: the good sample's
-        // gradient must not have been applied either.
+        // gradient must not have been accumulated either, so the next
+        // step moves nothing.
         let good = (s.clone(), 0.5f32);
         let bad = (s.clone(), f32::NAN);
-        assert!(trainer.update_batch(&[good, bad]).is_err());
+        assert!(trainer.accumulate_episode(&[good, bad]).is_err());
         assert_eq!(trainer.updates(), 0);
+        trainer.apply_step().unwrap();
         let after = trainer.policy().log_prob_of(s.episode().indices()).unwrap();
         assert_eq!(
             before.to_bits(),
@@ -488,7 +429,8 @@ mod tests {
             for _ in 0..steps {
                 let s = trainer.sample(rng).unwrap();
                 let r = score(s.episode().indices());
-                trainer.update(&s, r - 0.4).unwrap();
+                trainer.accumulate_episode(&[(s, r - 0.4)]).unwrap();
+                trainer.apply_step().unwrap();
             }
         };
         // Uninterrupted run: 20 updates.

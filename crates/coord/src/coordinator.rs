@@ -44,6 +44,15 @@ use crate::lease::{LeasePolicy, LeaseTable};
 use crate::proto::{config_fingerprint, Request, Response};
 use crate::rounds::{accumulate, init_for_round, merge_settled};
 
+/// The most shards a run may ask for. The lease table and journal replay
+/// hold one slot per shard, and a spec may claim any trial budget, so the
+/// shard count needs a bound of its own.
+pub const MAX_SHARDS: u32 = 1_024;
+
+/// The largest per-episode batch a run may ask for: every worker reserves
+/// one entry per child of an episode.
+pub const MAX_BATCH: u32 = 1_024;
+
 /// Scheduling knobs of a coordinated run.
 #[derive(Debug, Clone)]
 pub struct CoordinatorOptions {
@@ -144,8 +153,9 @@ impl Coordinator {
     /// # Errors
     ///
     /// [`FnasError::InvalidConfig`] for zero shards or rounds, for more
-    /// shards than the trial budget can fill (both checked before `dir`
-    /// is touched), and when the journal was written by a different job
+    /// shards than [`MAX_SHARDS`] or than the trial budget can fill, for
+    /// a batch outside `1..=`[`MAX_BATCH`] (all checked before `dir` is
+    /// touched), and when the journal was written by a different job
     /// or by a run with a different config fingerprint; I/O errors
     /// opening or appending the journal; searcher construction errors
     /// from the init freeze.
@@ -156,7 +166,7 @@ impl Coordinator {
         clock: Arc<dyn Clock>,
         dir: &Path,
     ) -> Result<Self> {
-        Self::validate(&base, &opts)?;
+        Self::validate(&base, batch, &opts)?;
         let job = base.job().job_digest();
         let fingerprint = config_fingerprint(&base, batch, opts.shards, opts.rounds);
         let (mut journal, records) = Journal::open(dir)?;
@@ -277,7 +287,7 @@ impl Coordinator {
         })
     }
 
-    fn validate(base: &SearchConfig, opts: &CoordinatorOptions) -> Result<()> {
+    fn validate(base: &SearchConfig, batch: usize, opts: &CoordinatorOptions) -> Result<()> {
         if opts.shards == 0 || opts.rounds == 0 {
             return Err(FnasError::InvalidConfig {
                 what: format!(
@@ -291,6 +301,19 @@ impl Coordinator {
         // per shard, rather than by the first worker to draw an empty one.
         let last = ShardSpec::new(opts.shards - 1, opts.shards)?;
         ShardRunner::new(base.clone(), last).config()?;
+        if opts.shards > MAX_SHARDS {
+            return Err(FnasError::InvalidConfig {
+                what: format!(
+                    "a coordinated run may use at most {MAX_SHARDS} shards (got {})",
+                    opts.shards
+                ),
+            });
+        }
+        if batch == 0 || batch > MAX_BATCH as usize {
+            return Err(FnasError::InvalidConfig {
+                what: format!("a job needs a batch size in 1..={MAX_BATCH} (got {batch})"),
+            });
+        }
         Ok(())
     }
 

@@ -49,7 +49,9 @@ pub mod rounds;
 pub mod worker;
 
 pub use clock::{Clock, ManualClock, WallClock};
-pub use coordinator::{Coordinator, CoordinatorOptions, CoordinatorProgress, SubmitSlot};
+pub use coordinator::{
+    Coordinator, CoordinatorOptions, CoordinatorProgress, SubmitSlot, MAX_BATCH, MAX_SHARDS,
+};
 pub use journal::{Journal, JournalStat, JournalVerifyReport, WalRecord};
 pub use lease::{LeasePolicy, LeaseTable};
 pub use proto::{

@@ -20,7 +20,7 @@
 //! * [`search`] — the NAS baseline loop of \[16\] and the FNAS loop with
 //!   early latency pruning, decomposed into [`search::config`] (run
 //!   specification), [`search::oracle`] (the unified child oracle),
-//!   [`search::engine`] (sequential + batched loops), [`search::episode`]
+//!   [`search::engine`] (the search loop), [`search::episode`]
 //!   (one episode as a pure function of a frozen parameter snapshot),
 //!   [`search::shard`] (episode-sharded runs over mergeable checkpoints,
 //!   see DESIGN.md §12), [`search::trial`]/[`search::outcome`] (results);
@@ -48,16 +48,15 @@
 //!
 //! ```
 //! use fnas::experiment::ExperimentPreset;
-//! use fnas::search::{SearchConfig, Searcher};
-//! use rand::SeedableRng;
+//! use fnas::search::{BatchOptions, SearchConfig, Searcher};
 //!
 //! # fn main() -> Result<(), fnas::FnasError> {
 //! let preset = ExperimentPreset::mnist().with_trials(4).scaled_data(0.001);
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! // A tiny FNAS run with a 5 ms budget on the PYNQ board, using the
-//! // accuracy surrogate.
+//! // accuracy surrogate and updating the controller after every child.
 //! let config = SearchConfig::fnas(preset, 5.0);
-//! let outcome = Searcher::surrogate(&config)?.run(&config, &mut rng)?;
+//! let opts = BatchOptions::sequential().with_batch_size(1);
+//! let outcome = Searcher::surrogate(&config)?.run_batched(&config, &opts)?;
 //! assert_eq!(outcome.trials().len(), 4);
 //! # Ok(())
 //! # }

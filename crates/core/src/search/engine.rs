@@ -1,34 +1,31 @@
-//! The search engine: sequential and batched loops over the
-//! [`ChildOracle`], plus checkpoint/resume plumbing.
+//! The search engine: the one search loop over the [`ChildOracle`], plus
+//! checkpoint/resume plumbing.
 //!
-//! The batched loop is a thin driver around [`EpisodeRunner`]: per episode
-//! it freezes the controller into a [`ParamsSnapshot`], runs the episode as
-//! a pure function, then applies the returned gradient with one optimiser
+//! The loop is a thin driver around [`EpisodeRunner`]: per episode it
+//! freezes the controller into a [`ParamsSnapshot`], runs the episode as a
+//! pure function, then applies the returned gradient with one optimiser
 //! step and folds the returned telemetry/cost/trial deltas into the run.
-//! [`ShardRunner`](super::ShardRunner) drives the same loop from another
-//! process.
+//! At batch size 1 it updates the controller after every child, the
+//! per-child REINFORCE loop of the paper. [`ShardRunner`](super::ShardRunner)
+//! drives the same loop from another process.
 
-use fnas_controller::arch::ChildArch;
 use fnas_controller::reinforce::{EmaBaseline, ReinforceTrainer};
 use fnas_controller::rnn::PolicyRnn;
 use fnas_exec::{Executor, SearchTelemetry, TelemetrySnapshot};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 use crate::checkpoint::SearchCheckpoint;
 use crate::cost::{CostModel, SearchCost};
-use crate::evaluator::{AccuracyEvaluator, SurrogateEvaluator, TrainedEvaluator};
-use crate::experiment::ExperimentPreset;
+use crate::evaluator::{AccuracyEvaluator, SurrogateEvaluator};
 use crate::latency::LatencyEvaluator;
-use crate::mapping::arch_to_network;
 use crate::resilience::FaultStatsSnapshot;
 use crate::{FnasError, Result};
 
-use super::config::{BatchOptions, CheckpointOptions, CheckpointPolicy, SearchConfig, SearchMode};
+use super::config::{BatchOptions, CheckpointOptions, CheckpointPolicy, SearchConfig};
 use super::episode::{EpisodeRunner, ParamsSnapshot};
-use super::oracle::{CacheCounterBase, ChildOracle};
+use super::oracle::ChildOracle;
 use super::outcome::SearchOutcome;
-use super::trial::{TrialRecord, UNBUILDABLE_REWARD};
 
 /// The reusable search engine: controller + child oracle + cost
 /// accounting.
@@ -50,22 +47,6 @@ impl Searcher {
     /// Propagates controller construction and preset validation errors.
     pub fn surrogate(config: &SearchConfig) -> Result<Self> {
         let evaluator = Box::new(SurrogateEvaluator::new(config.preset().calibration()));
-        Searcher::with_evaluator(config, evaluator)
-    }
-
-    /// Builds a searcher that really trains each child on the preset's
-    /// (possibly scaled) synthetic dataset.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dataset generation errors in addition to
-    /// [`Searcher::surrogate`]'s.
-    pub fn trained(config: &SearchConfig, batch_size: usize) -> Result<Self> {
-        let evaluator = Box::new(TrainedEvaluator::new(
-            config.preset().dataset(),
-            config.preset().epochs(),
-            batch_size,
-        )?);
         Searcher::with_evaluator(config, evaluator)
     }
 
@@ -101,15 +82,8 @@ impl Searcher {
         })
     }
 
-    /// Replaces the cost model (e.g. for throughput sensitivity studies).
-    #[must_use]
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
-        self
-    }
-
-    /// The unified child oracle (latency, accuracy, rewards, fault
-    /// stats) — exposed so callers can deploy the winner through the same
+    /// The unified child oracle (latency, accuracy, fault stats) —
+    /// exposed so callers can deploy the winner through the same
     /// staged artifacts the search already paid for.
     pub fn oracle(&self) -> &ChildOracle {
         &self.oracle
@@ -123,134 +97,6 @@ impl Searcher {
     /// worker process.
     pub fn attach_store(&mut self, store: std::sync::Arc<dyn fnas_store::Store>) {
         self.oracle.attach_store(store);
-    }
-
-    /// Runs the configured search to completion.
-    ///
-    /// `rng` drives child-weight initialisation and sampling; the
-    /// controller itself was seeded by the config.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller and oracle errors. Architectures that cannot
-    /// be built at all (kernel larger than the input) are not errors: they
-    /// receive a strongly negative reward, like latency violations.
-    pub fn run(&mut self, config: &SearchConfig, rng: &mut dyn RngCore) -> Result<SearchOutcome> {
-        let preset = config.preset();
-        let mode = config.mode();
-        self.baseline = EmaBaseline::new(config.baseline_decay);
-        let cache_base = self.oracle.cache_counters();
-        let mut trials = Vec::with_capacity(preset.trials());
-        let mut cost = SearchCost::default();
-        for index in 0..preset.trials() {
-            let sample = self.trainer.sample(&mut self.rng)?;
-            let arch = sample.arch().clone();
-            let record = match mode {
-                SearchMode::Fnas { required } => {
-                    cost.add(self.cost_model.analyzer_cost());
-                    match self.oracle.child_latency(&arch) {
-                        Err(_) => TrialRecord {
-                            index,
-                            arch,
-                            latency: None,
-                            accuracy: None,
-                            reward: UNBUILDABLE_REWARD,
-                            trained: false,
-                        },
-                        Ok(latency) if latency.get() > required.get() => {
-                            let reward = self.oracle.violation_reward(latency, required);
-                            if config.pruning() {
-                                TrialRecord {
-                                    index,
-                                    arch,
-                                    latency: Some(latency),
-                                    accuracy: None,
-                                    reward,
-                                    trained: false,
-                                }
-                            } else {
-                                // Ablation: pay for training even though the
-                                // child cannot be deployed.
-                                let accuracy = self.oracle.accuracy_direct(&arch, rng)?;
-                                cost.add(self.training_cost(&arch, preset)?);
-                                TrialRecord {
-                                    index,
-                                    arch,
-                                    latency: Some(latency),
-                                    accuracy: Some(accuracy),
-                                    reward,
-                                    trained: true,
-                                }
-                            }
-                        }
-                        Ok(latency) => {
-                            let accuracy = self.oracle.accuracy_direct(&arch, rng)?;
-                            let reward = self.oracle.valid_reward(
-                                accuracy,
-                                self.baseline.value(),
-                                latency,
-                                required,
-                            );
-                            self.baseline.observe(accuracy);
-                            cost.add(self.training_cost(&arch, preset)?);
-                            TrialRecord {
-                                index,
-                                arch,
-                                latency: Some(latency),
-                                accuracy: Some(accuracy),
-                                reward,
-                                trained: true,
-                            }
-                        }
-                    }
-                }
-                SearchMode::Nas => {
-                    match self.oracle.accuracy_direct(&arch, rng) {
-                        Err(FnasError::Nn(_)) | Err(FnasError::Fpga(_)) => TrialRecord {
-                            index,
-                            arch,
-                            latency: None,
-                            accuracy: None,
-                            reward: UNBUILDABLE_REWARD,
-                            trained: false,
-                        },
-                        Err(e) => return Err(e),
-                        Ok(accuracy) => {
-                            let reward = accuracy - self.baseline.value();
-                            self.baseline.observe(accuracy);
-                            cost.add(self.training_cost(&arch, preset)?);
-                            // Latency recorded post-hoc for reporting only —
-                            // plain NAS never consults the FPGA model, so no
-                            // analyzer cost is charged.
-                            let latency = self.oracle.child_latency(&arch).ok();
-                            TrialRecord {
-                                index,
-                                arch,
-                                latency,
-                                accuracy: Some(accuracy),
-                                reward,
-                                trained: true,
-                            }
-                        }
-                    }
-                }
-            };
-            self.trainer.update(&sample, record.reward)?;
-            let satisfied = config
-                .required_accuracy()
-                .is_some_and(|ra| record.accuracy.is_some_and(|a| a >= ra));
-            trials.push(record);
-            if satisfied {
-                break;
-            }
-        }
-        let telemetry = self.outcome_telemetry(&trials, trials.len() as u64, cache_base);
-        Ok(SearchOutcome {
-            mode,
-            trials,
-            cost,
-            telemetry,
-        })
     }
 
     /// Runs the configured search episode-by-episode, evaluating each
@@ -270,13 +116,10 @@ impl Searcher {
     /// The accuracy phase is fault-isolated: a child evaluation that
     /// panics, exhausts its retry budget (see
     /// [`crate::resilience::ResilientEvaluator`]) or fails with any
-    /// non-fatal oracle error settles into a *failed* [`TrialRecord`] with
-    /// a strongly negative reward; its siblings — whose RNG streams are
-    /// independent by construction — are unaffected and the run continues.
-    ///
-    /// Note the trajectory legitimately differs from [`Searcher::run`]:
-    /// the sequential loop updates the controller after every child, the
-    /// batched loop once per episode on the averaged gradient.
+    /// non-fatal oracle error settles into a *failed*
+    /// [`TrialRecord`](super::TrialRecord) with a strongly negative reward;
+    /// its siblings — whose RNG streams are independent by construction —
+    /// are unaffected and the run continues.
     ///
     /// # Errors
     ///
@@ -453,38 +296,6 @@ impl Searcher {
             cost,
             telemetry: telemetry.snapshot(),
         })
-    }
-
-    /// Builds the sequential loop's snapshot from its trial records (it
-    /// has no instrumented phases, so the timers stay zero).
-    fn outcome_telemetry(
-        &self,
-        trials: &[TrialRecord],
-        episodes: u64,
-        cache_base: CacheCounterBase,
-    ) -> TelemetrySnapshot {
-        let telemetry = SearchTelemetry::new();
-        telemetry.add_sampled(trials.len() as u64);
-        for t in trials {
-            if t.trained {
-                telemetry.add_trained();
-                telemetry.add_train_calls(1);
-            } else if t.latency.is_some() {
-                telemetry.add_pruned();
-            } else {
-                telemetry.add_unbuildable();
-            }
-        }
-        for _ in 0..episodes {
-            telemetry.add_episode();
-        }
-        self.oracle.charge_cache_deltas(&telemetry, cache_base);
-        telemetry.snapshot()
-    }
-
-    fn training_cost(&self, arch: &ChildArch, preset: &ExperimentPreset) -> Result<SearchCost> {
-        let network = arch_to_network(arch, preset.dataset().shape())?;
-        Ok(self.cost_model.training_cost(&network))
     }
 
     /// Freezes this searcher's *initial* state — the controller as seeded

@@ -34,6 +34,7 @@ use rand::SeedableRng;
 
 use crate::cost::{CostModel, SearchCost};
 use crate::experiment::ExperimentPreset;
+use crate::reward::{valid_reward, violation_reward};
 use crate::{FnasError, Result};
 
 use super::config::{SearchConfig, SearchMode};
@@ -81,7 +82,7 @@ pub struct EpisodeResult {
     /// Telemetry delta (counters and phase wall times) for this episode.
     pub telemetry: TelemetrySnapshot,
     /// Whether a child satisfied the `rA` early-stop criterion (trials
-    /// after it were discarded, exactly like the inline loop).
+    /// after it were discarded).
     pub satisfied: bool,
 }
 
@@ -133,8 +134,7 @@ impl<'a> EpisodeRunner<'a> {
     /// snapshot, the RNG stream and the oracle.
     ///
     /// `rng` is the run RNG at the episode boundary; controller sampling
-    /// is its only consumer, exactly like the inline loop. Per-child
-    /// evaluation streams are derived from
+    /// is its only consumer. Per-child evaluation streams are derived from
     /// [`derive_child_seed`]`(config.seed(), snapshot.episode, child)` and
     /// were never caller state, so results are bit-identical for any
     /// worker count.
@@ -227,9 +227,8 @@ impl<'a> EpisodeRunner<'a> {
         };
 
         // Serial epilogue, in sample order: rewards see the baseline as
-        // of the previous child, exactly like the sequential loop. The
-        // trainer is untouched — the would-be updates are returned as the
-        // factored gradient.
+        // of the previous child. The trainer is untouched — the would-be
+        // updates are returned as the factored gradient.
         let _t = telemetry.phase_timer(Phase::Update);
         let mut trials = Vec::with_capacity(n);
         let mut grads = Vec::with_capacity(n);
@@ -264,7 +263,7 @@ impl<'a> EpisodeRunner<'a> {
                             }
                         }
                         Ok(l) if l.get() > required.get() => {
-                            let reward = self.oracle.violation_reward(l, required);
+                            let reward = violation_reward(l, required);
                             if self.config.pruning() {
                                 telemetry.add_pruned();
                                 TrialRecord {
@@ -297,12 +296,7 @@ impl<'a> EpisodeRunner<'a> {
                         }
                         Ok(l) => match accuracy.expect("valid child was evaluated") {
                             Ok(accuracy) => {
-                                let reward = self.oracle.valid_reward(
-                                    accuracy,
-                                    baseline.value(),
-                                    l,
-                                    required,
-                                );
+                                let reward = valid_reward(accuracy, baseline.value(), l, required);
                                 baseline.observe(accuracy);
                                 cost.add(self.training_cost(&arch, preset)?);
                                 telemetry.add_trained();
@@ -329,8 +323,9 @@ impl<'a> EpisodeRunner<'a> {
                         TrialRecord {
                             index,
                             arch,
-                            // Post-hoc latency for reporting only (zero
-                            // modelled cost), like the sequential loop.
+                            // Post-hoc latency for reporting only: plain
+                            // NAS never consults the FPGA model, so no
+                            // analyzer cost is charged.
                             latency: latency.ok(),
                             accuracy: Some(accuracy),
                             reward,

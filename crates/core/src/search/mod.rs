@@ -17,13 +17,13 @@
 //! * [`config`] — run configuration: [`SearchConfig`], [`SearchMode`],
 //!   [`BatchOptions`], [`CheckpointOptions`], [`CheckpointPolicy`];
 //! * [`oracle`] — [`ChildOracle`], the unified per-child evaluation
-//!   interface (staged latency + memoised accuracy + rewards + fault
-//!   stats) the engine consumes;
+//!   interface (staged latency + memoised accuracy + fault stats) the
+//!   engine consumes;
 //! * [`episode`] — [`EpisodeRunner`]: one episode as a pure function of a
 //!   frozen [`ParamsSnapshot`], returning the sampled trials, the
 //!   per-episode policy gradient and a telemetry delta as data;
-//! * [`engine`] — [`Searcher`]: the sequential loop, plus the batched
-//!   driver that applies episode results and handles checkpoint/resume;
+//! * [`engine`] — [`Searcher`]: the search loop, which applies episode
+//!   results and handles checkpoint/resume;
 //! * [`shard`] — [`ShardRunner`]/[`ShardSpec`]: episode-sharded search
 //!   over a shared init snapshot, reduced via
 //!   [`crate::checkpoint::SearchCheckpoint::merge`];

@@ -4,17 +4,16 @@
 //! Before the decomposition, [`crate::search::Searcher`] hand-wired a
 //! [`LatencyEvaluator`], a boxed [`AccuracyEvaluator`] and a separate
 //! accuracy memo cache, and each loop re-implemented the cache/counter
-//! bookkeeping. [`ChildOracle`] owns all three and exposes the four
+//! bookkeeping. [`ChildOracle`] owns all three and exposes the three
 //! answers the engine needs — latency (staged/memoised), accuracy
-//! (memoised when the oracle is deterministic), rewards, and fault
-//! statistics — behind `&self`, so the batch engine can hand one reference
-//! to every worker.
+//! (memoised when the oracle is deterministic) and fault statistics —
+//! behind `&self`, so the engine can hand one reference to every worker.
 
 use fnas_controller::arch::ChildArch;
 use fnas_exec::{Deadline, SearchTelemetry, ShardedCache};
 use fnas_fpga::Millis;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 use crate::evaluator::AccuracyEvaluator;
 use crate::latency::LatencyEvaluator;
@@ -38,7 +37,7 @@ pub struct CacheCounterBase {
     passes: crate::latency::PassCounters,
 }
 
-/// Latency + accuracy + reward + fault stats for one child architecture.
+/// Latency + accuracy + fault stats for one child architecture.
 #[derive(Debug)]
 pub struct ChildOracle {
     latency: LatencyEvaluator,
@@ -97,32 +96,13 @@ impl ChildOracle {
         }
     }
 
-    /// Accuracy of `arch` with an explicit RNG, bypassing the memo cache —
-    /// the sequential loop's path, where the caller threads one RNG
-    /// through every trial.
-    ///
-    /// # Errors
-    ///
-    /// Propagates oracle errors.
-    pub fn accuracy_direct(&self, arch: &ChildArch, rng: &mut dyn RngCore) -> Result<f32> {
-        self.evaluator.evaluate(arch, rng)
-    }
-
-    /// Accuracy of `arch` for a batched child with its derived seed:
-    /// memoised when the oracle declares itself deterministic, evaluated
-    /// fresh on a per-child RNG stream otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates oracle errors (errors are never cached).
-    pub fn accuracy_seeded(&self, arch: &ChildArch, seed: u64) -> Result<f32> {
-        self.accuracy_seeded_deadline(arch, seed, None)
-    }
-
-    /// [`ChildOracle::accuracy_seeded`] with an optional work deadline
-    /// (see [`AccuracyEvaluator::evaluate_with_deadline`]). A timed-out
-    /// evaluation surfaces as a transient fault; because errors are never
-    /// cached, a later retry under a roomier budget starts clean.
+    /// Accuracy of `arch` for a child with its derived seed, under an
+    /// optional work deadline (see
+    /// [`AccuracyEvaluator::evaluate_with_deadline`]): memoised when the
+    /// oracle declares itself deterministic, evaluated fresh on a per-child
+    /// RNG stream otherwise. A timed-out evaluation surfaces as a transient
+    /// fault; because errors are never cached, a later retry under a
+    /// roomier budget starts clean.
     ///
     /// # Errors
     ///
@@ -144,23 +124,6 @@ impl ChildOracle {
             self.evaluator
                 .evaluate_with_deadline(arch, &mut rng, deadline)
         }
-    }
-
-    /// Reward for a spec-satisfying trained child (Eq. 1's positive
-    /// branch).
-    pub fn valid_reward(
-        &self,
-        accuracy: f32,
-        baseline: f32,
-        latency: Millis,
-        required: Millis,
-    ) -> f32 {
-        crate::reward::valid_reward(accuracy, baseline, latency, required)
-    }
-
-    /// Reward for a latency-violating child (Eq. 1's negative branch).
-    pub fn violation_reward(&self, latency: Millis, required: Millis) -> f32 {
-        crate::reward::violation_reward(latency, required)
     }
 
     /// Fault statistics accrued by the accuracy oracle, when it tracks

@@ -35,10 +35,6 @@ impl SearchOutcome {
     }
 
     /// What the engine actually did: counters and per-phase wall time.
-    ///
-    /// Sequential [`crate::search::Searcher::run`] fills the counters
-    /// (with zero phase times — it has no instrumented phases);
-    /// [`crate::search::Searcher::run_batched`] fills everything.
     pub fn telemetry(&self) -> &TelemetrySnapshot {
         &self.telemetry
     }

@@ -4,8 +4,7 @@
 use fnas_controller::arch::ChildArch;
 use fnas_fpga::device::FpgaCluster;
 use fnas_fpga::Millis;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 
 use crate::evaluator::{AccuracyEvaluator, SurrogateEvaluator};
 use crate::experiment::ExperimentPreset;
@@ -17,39 +16,33 @@ fn quick_preset() -> ExperimentPreset {
     ExperimentPreset::mnist().with_trials(12)
 }
 
+/// A surrogate search that updates the controller after every child.
+fn per_child(cfg: &SearchConfig) -> SearchOutcome {
+    Searcher::surrogate(cfg)
+        .unwrap()
+        .run_batched(cfg, &BatchOptions::sequential().with_batch_size(1))
+        .unwrap()
+}
+
 #[test]
 fn fnas_prunes_and_nas_does_not() {
-    let mut rng = StdRng::seed_from_u64(0);
     // A tight budget on MNIST: plenty of children violate it.
     let fnas_cfg = SearchConfig::fnas(quick_preset(), 2.0);
-    let fnas = Searcher::surrogate(&fnas_cfg)
-        .unwrap()
-        .run(&fnas_cfg, &mut rng)
-        .unwrap();
+    let fnas = per_child(&fnas_cfg);
     assert!(fnas.pruned_count() > 0, "tight spec should prune children");
 
     let nas_cfg = SearchConfig::nas(quick_preset());
-    let nas = Searcher::surrogate(&nas_cfg)
-        .unwrap()
-        .run(&nas_cfg, &mut rng)
-        .unwrap();
+    let nas = per_child(&nas_cfg);
     assert_eq!(nas.pruned_count(), 0);
     assert_eq!(nas.trained_count(), 12);
 }
 
 #[test]
 fn fnas_is_cheaper_than_nas_under_a_tight_spec() {
-    let mut rng = StdRng::seed_from_u64(1);
     let nas_cfg = SearchConfig::nas(quick_preset());
-    let nas = Searcher::surrogate(&nas_cfg)
-        .unwrap()
-        .run(&nas_cfg, &mut rng)
-        .unwrap();
+    let nas = per_child(&nas_cfg);
     let fnas_cfg = SearchConfig::fnas(quick_preset(), 2.0);
-    let fnas = Searcher::surrogate(&fnas_cfg)
-        .unwrap()
-        .run(&fnas_cfg, &mut rng)
-        .unwrap();
+    let fnas = per_child(&fnas_cfg);
     assert!(
         fnas.cost().total_seconds() < nas.cost().total_seconds(),
         "fnas {} vs nas {}",
@@ -60,12 +53,8 @@ fn fnas_is_cheaper_than_nas_under_a_tight_spec() {
 
 #[test]
 fn fnas_best_always_meets_the_spec() {
-    let mut rng = StdRng::seed_from_u64(2);
     let cfg = SearchConfig::fnas(quick_preset().with_trials(20), 5.0);
-    let out = Searcher::surrogate(&cfg)
-        .unwrap()
-        .run(&cfg, &mut rng)
-        .unwrap();
+    let out = per_child(&cfg);
     if let Some(best) = out.best() {
         assert!(best.meets(Millis::new(5.0)));
         assert!(best.trained);
@@ -85,12 +74,8 @@ fn fnas_best_always_meets_the_spec() {
 
 #[test]
 fn nas_best_is_global_accuracy_max() {
-    let mut rng = StdRng::seed_from_u64(3);
     let cfg = SearchConfig::nas(quick_preset());
-    let out = Searcher::surrogate(&cfg)
-        .unwrap()
-        .run(&cfg, &mut rng)
-        .unwrap();
+    let out = per_child(&cfg);
     let best = out.best().unwrap();
     let max = out
         .trials()
@@ -103,12 +88,8 @@ fn nas_best_is_global_accuracy_max() {
 #[test]
 fn runs_are_reproducible_under_a_seed() {
     let run = || {
-        let mut rng = StdRng::seed_from_u64(4);
         let cfg = SearchConfig::fnas(quick_preset(), 5.0).with_seed(77);
-        let out = Searcher::surrogate(&cfg)
-            .unwrap()
-            .run(&cfg, &mut rng)
-            .unwrap();
+        let out = per_child(&cfg);
         out.trials()
             .iter()
             .map(|t| (t.arch.describe(), t.reward.to_bits()))
@@ -120,25 +101,16 @@ fn runs_are_reproducible_under_a_seed() {
 #[test]
 fn looser_specs_prune_less() {
     let count_pruned = |ms: f64| {
-        let mut rng = StdRng::seed_from_u64(5);
         let cfg = SearchConfig::fnas(quick_preset().with_trials(30), ms);
-        Searcher::surrogate(&cfg)
-            .unwrap()
-            .run(&cfg, &mut rng)
-            .unwrap()
-            .pruned_count()
+        per_child(&cfg).pruned_count()
     };
     assert!(count_pruned(2.0) >= count_pruned(20.0));
 }
 
 #[test]
 fn summary_table_has_one_row_per_trial() {
-    let mut rng = StdRng::seed_from_u64(10);
     let cfg = SearchConfig::fnas(quick_preset(), 5.0);
-    let out = Searcher::surrogate(&cfg)
-        .unwrap()
-        .run(&cfg, &mut rng)
-        .unwrap();
+    let out = per_child(&cfg);
     let table = out.summary_table();
     assert_eq!(table.len(), out.trials().len());
     let md = table.to_markdown();
@@ -147,12 +119,8 @@ fn summary_table_has_one_row_per_trial() {
 
 #[test]
 fn pareto_front_is_monotone_and_non_dominated() {
-    let mut rng = StdRng::seed_from_u64(6);
     let cfg = SearchConfig::fnas(quick_preset().with_trials(25), 20.0);
-    let out = Searcher::surrogate(&cfg)
-        .unwrap()
-        .run(&cfg, &mut rng)
-        .unwrap();
+    let out = per_child(&cfg);
     let front = out.pareto_front();
     assert!(!front.is_empty());
     // Latency strictly increasing, accuracy strictly increasing.
@@ -180,24 +148,12 @@ fn pareto_front_is_monotone_and_non_dominated() {
 
 #[test]
 fn required_accuracy_stops_the_search_early() {
-    let mut rng = StdRng::seed_from_u64(8);
     // A very permissive rA: the first trained child satisfies it.
     let cfg = SearchConfig::nas(quick_preset().with_trials(50)).with_required_accuracy(0.5);
-    let out = Searcher::surrogate(&cfg)
-        .unwrap()
-        .run(&cfg, &mut rng)
-        .unwrap();
+    let out = per_child(&cfg);
     assert!(out.trials().len() < 50, "ran {} trials", out.trials().len());
     let last = out.trials().last().unwrap();
     assert!(last.accuracy.unwrap() >= 0.5);
-    // An unreachable rA never triggers.
-    let mut rng = StdRng::seed_from_u64(8);
-    let cfg = SearchConfig::nas(quick_preset()).with_required_accuracy(2.0);
-    let out = Searcher::surrogate(&cfg)
-        .unwrap()
-        .run(&cfg, &mut rng)
-        .unwrap();
-    assert_eq!(out.trials().len(), 12);
 }
 
 #[test]
@@ -205,7 +161,6 @@ fn cluster_target_loosens_the_same_budget() {
     // The same tight budget prunes fewer children on a 4-board platform.
     use fnas_fpga::device::FpgaDevice;
     let pruned_on = |boards: usize| {
-        let mut rng = StdRng::seed_from_u64(7);
         let mut cfg = SearchConfig::fnas(quick_preset().with_trials(20), 3.0).with_seed(7);
         if boards > 1 {
             cfg = cfg.on_cluster(
@@ -213,11 +168,7 @@ fn cluster_target_loosens_the_same_budget() {
                     .expect("valid cluster"),
             );
         }
-        Searcher::surrogate(&cfg)
-            .unwrap()
-            .run(&cfg, &mut rng)
-            .unwrap()
-            .pruned_count()
+        per_child(&cfg).pruned_count()
     };
     assert!(pruned_on(4) <= pruned_on(1));
 }
@@ -276,6 +227,7 @@ fn batched_runs_all_trials_and_reports_telemetry() {
         20
     );
     assert_eq!(t.children_pruned, out.pruned_count() as u64);
+    assert_eq!(t.children_trained, out.trained_count() as u64);
     // The surrogate is deterministic, so revisited architectures hit
     // the accuracy cache; every lookup is counted one way or the other.
     assert_eq!(
@@ -292,30 +244,21 @@ fn batched_runs_all_trials_and_reports_telemetry() {
 
 #[test]
 fn batched_respects_required_accuracy_early_stop() {
-    let cfg = SearchConfig::nas(quick_preset().with_trials(50)).with_required_accuracy(0.5);
     let opts = BatchOptions::sequential().with_batch_size(4);
-    let out = Searcher::surrogate(&cfg)
-        .unwrap()
-        .run_batched(&cfg, &opts)
-        .unwrap();
-    assert!(out.trials().len() < 50, "ran {} trials", out.trials().len());
-    assert!(out.trials().last().unwrap().accuracy.unwrap() >= 0.5);
-}
-
-#[test]
-fn sequential_run_fills_telemetry_counters() {
-    let mut rng = StdRng::seed_from_u64(9);
-    let cfg = SearchConfig::fnas(quick_preset(), 2.0);
-    let out = Searcher::surrogate(&cfg)
-        .unwrap()
-        .run(&cfg, &mut rng)
-        .unwrap();
-    let t = out.telemetry();
-    assert_eq!(t.children_sampled, out.trials().len() as u64);
-    assert_eq!(t.children_pruned, out.pruned_count() as u64);
-    assert_eq!(t.children_trained, out.trained_count() as u64);
-    assert!(t.latency_cache_hits + t.latency_cache_misses > 0);
-    assert_eq!(t.total_time(), std::time::Duration::ZERO);
+    // A permissive rA stops the search early; an unreachable one never
+    // triggers.
+    for (ra, stops) in [(0.5, true), (2.0, false)] {
+        let cfg = SearchConfig::nas(quick_preset().with_trials(50)).with_required_accuracy(ra);
+        let out = Searcher::surrogate(&cfg)
+            .unwrap()
+            .run_batched(&cfg, &opts)
+            .unwrap();
+        let ran = out.trials().len();
+        assert_eq!(ran < 50, stops, "rA {ra}: ran {ran} trials");
+        if stops {
+            assert!(out.trials().last().unwrap().accuracy.unwrap() >= ra);
+        }
+    }
 }
 
 #[test]
@@ -366,6 +309,46 @@ fn fingerprint(out: &SearchOutcome) -> Vec<String> {
         t.quarantined,
     ));
     v
+}
+
+/// One child per episode on configs no other pin covers: each digest folds
+/// the trial records, the cost bits and the logical counters.
+#[test]
+fn one_child_per_episode_outputs_are_pinned() {
+    use fnas_exec::hash::{fnv1a, FNV_OFFSET};
+    use fnas_fpga::device::FpgaDevice;
+    let cluster = FpgaCluster::homogeneous(FpgaDevice::xc7z020(), 4, 32.0).expect("valid cluster");
+    let imagenet = ExperimentPreset::imagenet().with_trials(8);
+    let ts1 = imagenet.ts(1).get();
+    let cases = [
+        (
+            "fnas without pruning",
+            SearchConfig::fnas(quick_preset(), 2.0).with_pruning(false),
+            0x3ae8_20e1_c4f0_f248,
+        ),
+        (
+            "nas with a reachable rA",
+            SearchConfig::nas(quick_preset().with_trials(30)).with_required_accuracy(0.994),
+            0x5b9b_e690_5239_2d55,
+        ),
+        (
+            "fnas on a 4-board cluster",
+            SearchConfig::fnas(quick_preset(), 3.0).on_cluster(cluster),
+            0x011a_5e47_9f80_93d8,
+        ),
+        (
+            "imagenet at TS1",
+            SearchConfig::fnas(imagenet, ts1),
+            0xa60c_704b_fb05_6619,
+        ),
+    ];
+    for (name, cfg, want) in cases {
+        let out = per_child(&cfg);
+        let digest = fingerprint(&out).iter().fold(FNV_OFFSET, |h, line| {
+            fnv1a(fnv1a(h, line.as_bytes()), b"\n")
+        });
+        assert_eq!(digest, want, "{name}: {digest:#018x}");
+    }
 }
 
 #[test]

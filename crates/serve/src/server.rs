@@ -248,11 +248,6 @@ impl Server {
                 what: "unparseable job spec bytes (not canonical JobSpec encoding)".to_string(),
             };
         };
-        if batch == 0 {
-            return Response::Error {
-                what: "a job needs a batch size ≥ 1".to_string(),
-            };
-        }
         let job = spec.job_digest();
         let coordinator = {
             let mut table = self.lock_jobs();
@@ -541,7 +536,7 @@ mod tests {
     use super::*;
     use fnas::experiment::ExperimentPreset;
     use fnas::search::SearchConfig;
-    use fnas_coord::ManualClock;
+    use fnas_coord::{ManualClock, MAX_BATCH, MAX_SHARDS};
 
     fn spec(seed: u64) -> JobSpec {
         SearchConfig::fnas(ExperimentPreset::mnist().with_trials(8), 10.0)
@@ -645,8 +640,27 @@ mod tests {
                 "{shards} shards → {r:?}"
             );
         }
+        // A spec claiming 2^20 trials fills any shard count, so only the
+        // absolute caps stand between it and per-shard or per-child
+        // allocations.
+        let big = SearchConfig::fnas(ExperimentPreset::mnist().with_trials(1 << 20), 10.0)
+            .job()
+            .clone();
+        for (batch, shards) in [(4, MAX_SHARDS + 1), (MAX_BATCH + 1, 2)] {
+            let r = server.handle(&Request::SubmitJob {
+                spec: big.encode(),
+                batch,
+                shards,
+                rounds: 1,
+            });
+            assert!(
+                matches!(r, Response::Error { .. }),
+                "batch {batch}, {shards} shards → {r:?}"
+            );
+        }
         assert!(server.jobs().is_empty(), "no job admitted");
         assert!(!server.store().job_dir(spec(1).job_digest()).exists());
+        assert!(!server.store().job_dir(big.job_digest()).exists());
         for request in [
             Request::JobStatus { job: 42 },
             Request::CancelJob { job: 42 },

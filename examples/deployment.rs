@@ -9,16 +9,14 @@
 
 use fnas::deploy::DeploymentReport;
 use fnas::experiment::ExperimentPreset;
-use fnas::search::{SearchConfig, Searcher};
+use fnas::search::{BatchOptions, SearchConfig, Searcher};
 use fnas_fpga::device::FpgaCluster;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let preset = ExperimentPreset::mnist().with_trials(20);
     let config = SearchConfig::fnas(preset.clone(), 5.0).with_seed(3);
-    let mut rng = StdRng::seed_from_u64(3);
-    let outcome = Searcher::surrogate(&config)?.run(&config, &mut rng)?;
+    let opts = BatchOptions::sequential().with_batch_size(1);
+    let outcome = Searcher::surrogate(&config)?.run_batched(&config, &opts)?;
     let best = outcome
         .best()
         .ok_or("no spec-satisfying child found — loosen the budget")?;

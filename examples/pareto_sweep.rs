@@ -9,17 +9,15 @@
 
 use fnas::experiment::ExperimentPreset;
 use fnas::report::{pct, Table};
-use fnas::search::{SearchConfig, Searcher};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use fnas::search::{BatchOptions, SearchConfig, Searcher};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let preset = ExperimentPreset::mnist().with_trials(30);
+    let opts = BatchOptions::sequential().with_batch_size(1);
 
     // The NAS baseline: accuracy-only, one architecture for all specs.
     let nas_cfg = SearchConfig::nas(preset.clone());
-    let mut rng = StdRng::seed_from_u64(1);
-    let nas = Searcher::surrogate(&nas_cfg)?.run(&nas_cfg, &mut rng)?;
+    let nas = Searcher::surrogate(&nas_cfg)?.run_batched(&nas_cfg, &opts)?;
     let nas_best = nas.best().expect("NAS always trains children");
     println!(
         "NAS baseline: {} @ {} accuracy {}\n",
@@ -39,8 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for n in (1..=4).rev() {
         let ts = preset.ts(n);
         let cfg = SearchConfig::fnas(preset.clone(), ts.get());
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = Searcher::surrogate(&cfg)?.run(&cfg, &mut rng)?;
+        let out = Searcher::surrogate(&cfg)?.run_batched(&cfg, &opts)?;
         match out.best() {
             Some(best) => {
                 let acc = best.accuracy.expect("trained");

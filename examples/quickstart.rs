@@ -11,11 +11,9 @@
 use fnas::experiment::ExperimentPreset;
 use fnas::latency::LatencyEvaluator;
 use fnas::report::{pct, Table};
-use fnas::search::{SearchConfig, Searcher};
+use fnas::search::{BatchOptions, SearchConfig, Searcher};
 use fnas_controller::arch::{ChildArch, LayerChoice};
 use fnas_fpga::device::FpgaDevice;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. A hand-written child architecture -------------------------
@@ -49,8 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 3. A small FNAS search under a 5 ms budget ---------------------
     let preset = ExperimentPreset::mnist().with_trials(20);
     let config = SearchConfig::fnas(preset, 5.0);
-    let mut rng = StdRng::seed_from_u64(42);
-    let outcome = Searcher::surrogate(&config)?.run(&config, &mut rng)?;
+    // One child per episode: the controller steps after every child.
+    let opts = BatchOptions::sequential().with_batch_size(1);
+    let outcome = Searcher::surrogate(&config)?.run_batched(&config, &opts)?;
 
     let mut table = Table::new(vec![
         "trial",

@@ -14,10 +14,8 @@
 use fnas::evaluator::TrainedEvaluator;
 use fnas::experiment::ExperimentPreset;
 use fnas::report::{pct, Table};
-use fnas::search::{SearchConfig, Searcher};
+use fnas::search::{BatchOptions, SearchConfig, Searcher};
 use fnas_data::SynthConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A CPU-sized MNIST-like problem: 5 classes on 14×14 images.
@@ -37,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = SearchConfig::fnas(preset.clone(), 4.0).with_seed(7);
     let evaluator = TrainedEvaluator::new(&dataset, preset.epochs(), 20)?.with_lr(0.2);
     let mut searcher = Searcher::with_evaluator(&config, Box::new(evaluator))?;
-    let mut rng = StdRng::seed_from_u64(7);
-    let outcome = searcher.run(&config, &mut rng)?;
+    let opts = BatchOptions::sequential().with_batch_size(1);
+    let outcome = searcher.run_batched(&config, &opts)?;
 
     let mut table = Table::new(vec!["trial", "architecture", "latency", "trained accuracy"]);
     for t in outcome.trials() {

@@ -7,12 +7,10 @@
 
 use fnas::evaluator::TrainedEvaluator;
 use fnas::experiment::ExperimentPreset;
-use fnas::search::{SearchConfig, SearchMode, Searcher};
+use fnas::search::{BatchOptions, SearchConfig, SearchMode, Searcher};
 use fnas_controller::space::SearchSpace;
 use fnas_data::SynthConfig;
 use fnas_fpga::Millis;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A CPU-sized preset: 10×10 images, 4 classes, 3-layer children.
 fn tiny_preset() -> ExperimentPreset {
@@ -29,6 +27,11 @@ fn tiny_preset() -> ExperimentPreset {
         .with_space(space)
 }
 
+/// One child per episode: the controller steps after every child.
+fn one_child_per_episode() -> BatchOptions {
+    BatchOptions::sequential().with_batch_size(1)
+}
+
 #[test]
 fn fnas_with_real_training_deploys_a_spec_satisfying_child() {
     let preset = tiny_preset();
@@ -37,8 +40,9 @@ fn fnas_with_real_training_deploys_a_spec_satisfying_child() {
         TrainedEvaluator::new(preset.dataset(), preset.epochs(), 16).expect("generates");
     let mut searcher =
         Searcher::with_evaluator(&config, Box::new(evaluator)).expect("constructible");
-    let mut rng = StdRng::seed_from_u64(5);
-    let outcome = searcher.run(&config, &mut rng).expect("runs");
+    let outcome = searcher
+        .run_batched(&config, &one_child_per_episode())
+        .expect("runs");
 
     assert_eq!(outcome.trials().len(), 5);
     // Everything trained must carry an accuracy from the real trainer.
@@ -62,11 +66,10 @@ fn fnas_with_real_training_deploys_a_spec_satisfying_child() {
 #[test]
 fn nas_and_fnas_explore_the_same_space_but_account_costs_differently() {
     let preset = tiny_preset();
-    let mut rng = StdRng::seed_from_u64(9);
     let nas_cfg = SearchConfig::nas(preset.clone()).with_seed(9);
     let nas = Searcher::surrogate(&nas_cfg)
         .expect("constructible")
-        .run(&nas_cfg, &mut rng)
+        .run_batched(&nas_cfg, &one_child_per_episode())
         .expect("runs");
     assert_eq!(nas.mode(), SearchMode::Nas);
     assert_eq!(nas.pruned_count(), 0, "plain NAS never prunes");
@@ -78,7 +81,7 @@ fn nas_and_fnas_explore_the_same_space_but_account_costs_differently() {
     let fnas_cfg = SearchConfig::fnas(preset, 0.001).with_seed(9); // brutally tight: 1 µs
     let fnas = Searcher::surrogate(&fnas_cfg)
         .expect("constructible")
-        .run(&fnas_cfg, &mut rng)
+        .run_batched(&fnas_cfg, &one_child_per_episode())
         .expect("runs");
     assert!(fnas.cost().analyzer_seconds > 0.0);
     // A 1 µs budget prunes everything in this space…
@@ -91,10 +94,9 @@ fn nas_and_fnas_explore_the_same_space_but_account_costs_differently() {
 fn violated_children_carry_the_eq1_negative_reward() {
     let preset = tiny_preset();
     let config = SearchConfig::fnas(preset, 0.001).with_seed(13);
-    let mut rng = StdRng::seed_from_u64(13);
     let outcome = Searcher::surrogate(&config)
         .expect("constructible")
-        .run(&config, &mut rng)
+        .run_batched(&config, &one_child_per_episode())
         .expect("runs");
     for t in outcome.trials() {
         let latency = t.latency.expect("tiny space is always designable");
@@ -114,10 +116,9 @@ fn search_is_deterministic_end_to_end() {
     let run = || {
         let preset = tiny_preset();
         let config = SearchConfig::fnas(preset, 1.0).with_seed(21);
-        let mut rng = StdRng::seed_from_u64(21);
         Searcher::surrogate(&config)
             .expect("constructible")
-            .run(&config, &mut rng)
+            .run_batched(&config, &one_child_per_episode())
             .expect("runs")
             .trials()
             .iter()

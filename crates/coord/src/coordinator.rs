@@ -205,7 +205,7 @@ impl Coordinator {
             fingerprint,
             job,
         })?;
-        telemetry.add_journal_record();
+        telemetry.journal_records.add(1);
 
         // Re-validate the WAL's claims against the spill files: a round
         // counts as complete iff every shard's spill decodes and matches
@@ -239,7 +239,7 @@ impl Coordinator {
             break;
         }
         let recovered = merges.len() as u64;
-        telemetry.add_rounds_recovered(recovered);
+        telemetry.rounds_recovered.add(recovered);
 
         let (finished, init_bytes) = if recovered == opts.rounds {
             current = opts.rounds - 1;
@@ -262,7 +262,7 @@ impl Coordinator {
                 })
                 .is_ok()
         {
-            telemetry.add_journal_record();
+            telemetry.journal_records.add(1);
         }
         let spec_bytes = base.job().encode();
         Ok(Coordinator {
@@ -437,7 +437,7 @@ impl Coordinator {
         // state is touched.
         match request {
             Request::Submit { epoch, .. } if *epoch != self.epoch => {
-                self.telemetry.add_stale_submission_rejected();
+                self.telemetry.stale_submissions_rejected.add(1);
                 return Response::Stale { epoch: self.epoch };
             }
             Request::Heartbeat { epoch, .. } if *epoch != self.epoch => {
@@ -507,7 +507,7 @@ impl Coordinator {
             // completed rounds are not kept in memory.
             return match state.journal.load_spill(round, shard) {
                 Some(first) if first == bytes => {
-                    self.telemetry.add_duplicate_result();
+                    self.telemetry.duplicate_results.add(1);
                     Response::Accepted { fresh: false }
                 }
                 Some(_) => Response::Error {
@@ -571,7 +571,7 @@ impl Coordinator {
     /// [`Coordinator::journal_settle`].
     fn journal_append(&self, state: &mut RoundState, record: WalRecord) {
         if state.journal.append(&record).is_ok() {
-            self.telemetry.add_journal_record();
+            self.telemetry.journal_records.add(1);
         }
     }
 
@@ -644,7 +644,8 @@ impl Coordinator {
                 Some(_slot) => self.handle(request),
                 None => {
                     let backoff_ms = self.opts.backoff_ms;
-                    self.telemetry.add_retry_served(backoff_ms);
+                    self.telemetry.retries_served.add(1);
+                    self.telemetry.retry_sleep_ms.add(backoff_ms);
                     Response::Retry { backoff_ms }
                 }
             }

@@ -18,9 +18,9 @@
 //!   when equal ([`duplicate results`] counter) or rejected as a hard
 //!   determinism violation when not.
 //!
-//! [`leases expired`]: fnas_exec::SearchTelemetry::add_lease_expired
-//! [`shards re-dispatched`]: fnas_exec::SearchTelemetry::add_shard_redispatched
-//! [`duplicate results`]: fnas_exec::SearchTelemetry::add_duplicate_result
+//! [`leases expired`]: fnas_exec::SearchTelemetry::leases_expired
+//! [`shards re-dispatched`]: fnas_exec::SearchTelemetry::shards_redispatched
+//! [`duplicate results`]: fnas_exec::SearchTelemetry::duplicate_results
 
 use fnas::FnasError;
 use fnas_exec::SearchTelemetry;
@@ -101,7 +101,7 @@ impl LeaseTable {
                 let before = leases.len();
                 leases.retain(|l| l.expires_ms > now_ms);
                 for _ in leases.len()..before {
-                    telemetry.add_lease_expired();
+                    telemetry.leases_expired.add(1);
                 }
                 if leases.is_empty() {
                     *slot = Slot::Pending;
@@ -151,7 +151,7 @@ impl LeaseTable {
         if let Slot::Leased(leases) = &mut self.slots[i] {
             leases.push(self.policy.lease(worker, now_ms));
         }
-        telemetry.add_shard_redispatched();
+        telemetry.shards_redispatched.add(1);
         Some(i as u32)
     }
 
@@ -208,7 +208,7 @@ impl LeaseTable {
         match slot {
             Slot::Done(first) => {
                 if *first == bytes {
-                    telemetry.add_duplicate_result();
+                    telemetry.duplicate_results.add(1);
                     Ok(false)
                 } else {
                     Err(FnasError::InvalidConfig {

@@ -21,6 +21,8 @@ use std::process::ExitCode;
 
 use fnas::checkpoint::{SearchCheckpoint, MAGIC, VERSION};
 use fnas::report::{pct, Table};
+use fnas_exec::telemetry::{CounterRow, Scope};
+use fnas_exec::TelemetrySnapshot;
 
 /// Renders the full inspection report for a decoded checkpoint.
 fn render(ckpt: &SearchCheckpoint) -> String {
@@ -69,12 +71,11 @@ fn render(ckpt: &SearchCheckpoint) -> String {
         ckpt.trainer.optimizer.t
     ));
 
-    let t = &ckpt.telemetry;
     line(String::new());
     line("persisted telemetry counters:".to_string());
     let mut counters = Table::new(vec!["counter", "value"]);
-    for (name, value) in counter_fields(t) {
-        counters.push_row(vec![name.to_string(), value.to_string()]);
+    for row in persisted(&ckpt.telemetry) {
+        counters.push_row(vec![row.label.to_string(), row.value.to_string()]);
     }
     line(counters.to_markdown());
 
@@ -104,23 +105,10 @@ fn render(ckpt: &SearchCheckpoint) -> String {
     out
 }
 
-/// The persisted counters, paired with their display names (shared by the
-/// render table and the diff).
-fn counter_fields(t: &fnas::search::TelemetrySnapshot) -> [(&'static str, u64); 12] {
-    [
-        ("children sampled", t.children_sampled),
-        ("children pruned", t.children_pruned),
-        ("children trained", t.children_trained),
-        ("children unbuildable", t.children_unbuildable),
-        ("children failed", t.children_failed),
-        ("episodes", t.episodes),
-        ("panics caught", t.panics_caught),
-        ("oracle retries", t.retries),
-        ("quarantined accuracies", t.quarantined),
-        ("checkpoints written", t.checkpoints_written),
-        ("analyzer calls", t.analyzer_calls),
-        ("train calls", t.train_calls),
-    ]
+/// The counters FNASCKPT persists — the logical rows of the counter table
+/// (shared by the render table and the diff).
+fn persisted(t: &TelemetrySnapshot) -> impl Iterator<Item = CounterRow> {
+    t.rows().into_iter().filter(|r| r.scope == Scope::Logical)
 }
 
 /// Renders the field-level deltas between two checkpoints; every line
@@ -225,10 +213,8 @@ fn diff(a: &SearchCheckpoint, b: &SearchCheckpoint) -> String {
             a.trainer.optimizer.t, b.trainer.optimizer.t
         ));
     }
-    for ((name, va), (_, vb)) in counter_fields(&a.telemetry)
-        .into_iter()
-        .zip(counter_fields(&b.telemetry))
-    {
+    for (ra, rb) in persisted(&a.telemetry).zip(persisted(&b.telemetry)) {
+        let (name, va, vb) = (ra.label, ra.value, rb.value);
         if va != vb {
             lines.push(format!(
                 "telemetry {name}: {va} → {vb} ({:+})",

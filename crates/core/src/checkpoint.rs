@@ -13,8 +13,10 @@
 //! * **memo caches** (latency and accuracy) — by the engine's
 //!   cache-transparency invariant they affect only wall-clock time, never
 //!   results, so a resumed run merely re-misses and stays bit-identical;
-//! * **wall times and cache counters** — they describe work performed by a
-//!   particular process, not logical search progress.
+//! * **process-local counters** — wall times, cache traffic and every other
+//!   `local` row of the counter table ([`fnas_exec::telemetry`]) describe
+//!   work performed by a particular process, not logical search progress.
+//!   The `logical` rows are stored as one word each, in table order.
 //!
 //! The format is a little-endian binary codec on the workspace's byte
 //! layer ([`fnas_store::bytes`]): a fixed self-describing layout (magic,
@@ -95,8 +97,9 @@ pub struct SearchCheckpoint {
     pub cost: SearchCost,
     /// Controller parameters, optimiser moments and update count.
     pub trainer: TrainerState,
-    /// Logical telemetry counters (cache traffic and wall times are
-    /// process-local and not persisted — their fields read zero here).
+    /// Logical telemetry counters (the process-local ones — cache
+    /// traffic, wall times and the rest — are not persisted and read zero
+    /// here).
     pub telemetry: TelemetrySnapshot,
     /// Every trial explored so far, in exploration order.
     pub trials: Vec<TrialRecord>,
@@ -141,21 +144,8 @@ impl SearchCheckpoint {
             });
         }
         w.u64(self.trainer.updates);
-        // Logical telemetry counters.
-        let t = &self.telemetry;
-        for c in [
-            t.children_sampled,
-            t.children_pruned,
-            t.children_trained,
-            t.children_unbuildable,
-            t.children_failed,
-            t.episodes,
-            t.panics_caught,
-            t.retries,
-            t.quarantined,
-            t.checkpoints_written,
-            t.train_calls,
-        ] {
+        // Logical telemetry counters, in counter-table order.
+        for c in self.telemetry.logical_words() {
             w.u64(c);
         }
         // Trials.
@@ -236,20 +226,7 @@ impl SearchCheckpoint {
             optimizer: AdamState { t, moments },
             updates: r.u64()?,
         };
-        let telemetry = TelemetrySnapshot {
-            children_sampled: r.u64()?,
-            children_pruned: r.u64()?,
-            children_trained: r.u64()?,
-            children_unbuildable: r.u64()?,
-            children_failed: r.u64()?,
-            episodes: r.u64()?,
-            panics_caught: r.u64()?,
-            retries: r.u64()?,
-            quarantined: r.u64()?,
-            checkpoints_written: r.u64()?,
-            train_calls: r.u64()?,
-            ..TelemetrySnapshot::default()
-        };
+        let telemetry = TelemetrySnapshot::from_logical_words(|| r.u64())?;
         // A trial encodes to at least its index, layer count, two option
         // tags, reward and trained flag.
         let n = r.count64(8 + 8 + 1 + 1 + 4 + 1)?;

@@ -14,17 +14,18 @@
 //! [`LatencyModel`] trait ([`Analytic`] / [`Simulated`] /
 //! [`PartitionedSim`]).
 //!
-//! The evaluator also meters the pass pipeline: per-pass wall time
-//! (design / taskgraph / partition / schedule / sim) and the partitioned
-//! simulator's region statistics are accumulated into [`PassCounters`]
-//! for the search telemetry.
+//! The evaluator also meters the pass pipeline: analyzer calls, per-pass
+//! wall time (design / taskgraph / partition / schedule / sim) and the
+//! partitioned simulator's region statistics accumulate in its own
+//! [`SearchTelemetry`] meters, read with the cache and store traffic
+//! through [`LatencyEvaluator::meters`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use fnas_controller::arch::ChildArch;
-use fnas_exec::{Executor, ShardedCache};
+use fnas_exec::{Executor, SearchTelemetry, ShardedCache, TelemetrySnapshot};
 use fnas_fpga::analyzer::AnalyzerReport;
 use fnas_fpga::artifacts::{HwArtifacts, LatencyModel};
 use fnas_fpga::design::PipelineDesign;
@@ -34,27 +35,6 @@ use fnas_fpga::Millis;
 use fnas_store::{digest128, Backend, CacheKey, NullStore, Store, StoreCounters};
 
 pub use fnas_fpga::artifacts::{Analytic, PartitionedSim, Simulated};
-
-/// Accumulated pass-pipeline work performed by one evaluator: wall time
-/// per pass plus the partitioned simulator's region statistics. Counts
-/// only *uncached* executions (memo and store hits charge nothing).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PassCounters {
-    /// Nanoseconds spent in the `design` pass.
-    pub design_ns: u64,
-    /// Nanoseconds spent in the `taskgraph` pass.
-    pub graph_ns: u64,
-    /// Nanoseconds spent in the `partition` pass.
-    pub partition_ns: u64,
-    /// Nanoseconds spent in the `schedule` pass.
-    pub schedule_ns: u64,
-    /// Nanoseconds spent in the `sim` pass (either backend).
-    pub sim_ns: u64,
-    /// Regions built by partitioned simulation runs.
-    pub partitions_built: u64,
-    /// Tile messages settled through cross-partition queues.
-    pub cross_partition_events: u64,
-}
 
 use crate::deploy::DeploymentReport;
 use crate::mapping::arch_to_network;
@@ -109,15 +89,9 @@ pub struct LatencyEvaluator {
     /// Canonical pass-pipeline fingerprint, fixed at construction.
     pipeline_digest: u64,
     design_builds: AtomicU64,
-    analyzer_calls: AtomicU64,
     sim_calls: AtomicU64,
-    pass_design_ns: AtomicU64,
-    pass_graph_ns: AtomicU64,
-    pass_partition_ns: AtomicU64,
-    pass_schedule_ns: AtomicU64,
-    pass_sim_ns: AtomicU64,
-    partitions_built: AtomicU64,
-    cross_partition_events: AtomicU64,
+    /// Analyzer calls, pass wall times and partition statistics.
+    meters: SearchTelemetry,
 }
 
 impl LatencyEvaluator {
@@ -140,15 +114,8 @@ impl LatencyEvaluator {
             device_digest,
             pipeline_digest: canonical_pipeline_fingerprint(),
             design_builds: AtomicU64::new(0),
-            analyzer_calls: AtomicU64::new(0),
             sim_calls: AtomicU64::new(0),
-            pass_design_ns: AtomicU64::new(0),
-            pass_graph_ns: AtomicU64::new(0),
-            pass_partition_ns: AtomicU64::new(0),
-            pass_schedule_ns: AtomicU64::new(0),
-            pass_sim_ns: AtomicU64::new(0),
-            partitions_built: AtomicU64::new(0),
-            cross_partition_events: AtomicU64::new(0),
+            meters: SearchTelemetry::new(),
         }
     }
 
@@ -194,15 +161,13 @@ impl LatencyEvaluator {
     }
 
     /// Claims the artifact's one-shot lowering timings (taskgraph /
-    /// partition / schedule) into the pass counters; a no-op when another
+    /// partition / schedule) into the pass meters; a no-op when another
     /// path already claimed them.
     fn charge_lowering(&self, artifacts: &HwArtifacts) {
         if let Some(t) = artifacts.claim_lowering_timings() {
-            self.pass_graph_ns.fetch_add(t.graph_ns, Ordering::Relaxed);
-            self.pass_partition_ns
-                .fetch_add(t.partition_ns, Ordering::Relaxed);
-            self.pass_schedule_ns
-                .fetch_add(t.schedule_ns, Ordering::Relaxed);
+            self.meters.pass_graph_ns.add(t.graph_ns);
+            self.meters.pass_partition_ns.add(t.partition_ns);
+            self.meters.pass_schedule_ns.add(t.schedule_ns);
         }
     }
 
@@ -226,7 +191,7 @@ impl LatencyEvaluator {
     /// Number of uncached analyzer invocations so far (the FNAS tool's
     /// per-child cost in the search-cost model).
     pub fn analyzer_calls(&self) -> u64 {
-        self.analyzer_calls.load(Ordering::Relaxed)
+        self.meters.analyzer_calls.get()
     }
 
     /// Number of uncached cycle-accurate simulations so far.
@@ -234,17 +199,22 @@ impl LatencyEvaluator {
         self.sim_calls.load(Ordering::Relaxed)
     }
 
-    /// Accumulated pass-pipeline work (per-pass wall time and partitioned
-    /// simulation statistics) performed by this evaluator so far.
-    pub fn pass_counters(&self) -> PassCounters {
-        PassCounters {
-            design_ns: self.pass_design_ns.load(Ordering::Relaxed),
-            graph_ns: self.pass_graph_ns.load(Ordering::Relaxed),
-            partition_ns: self.pass_partition_ns.load(Ordering::Relaxed),
-            schedule_ns: self.pass_schedule_ns.load(Ordering::Relaxed),
-            sim_ns: self.pass_sim_ns.load(Ordering::Relaxed),
-            partitions_built: self.partitions_built.load(Ordering::Relaxed),
-            cross_partition_events: self.cross_partition_events.load(Ordering::Relaxed),
+    /// This evaluator's cumulative counters: analyzer calls, per-pass wall
+    /// time and partitioned-simulation statistics (uncached executions
+    /// only; memo and store hits charge nothing), plus analytic-latency
+    /// cache traffic and the attached store's traffic. Every other field
+    /// reads zero.
+    pub fn meters(&self) -> TelemetrySnapshot {
+        let store = self.store.counters();
+        TelemetrySnapshot {
+            latency_cache_hits: self.cache_hits(),
+            latency_cache_misses: self.cache_misses(),
+            store_hits: store.hits,
+            store_misses: store.misses,
+            store_writes: store.writes,
+            store_evictions: store.evictions,
+            store_bytes: store.bytes_on_disk,
+            ..self.meters.snapshot()
         }
     }
 
@@ -273,8 +243,9 @@ impl LatencyEvaluator {
             let network = arch_to_network(arch, self.input)?;
             let t0 = Instant::now();
             let artifacts = HwArtifacts::build(&network, &self.cluster)?;
-            self.pass_design_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.meters
+                .pass_design_ns
+                .add(t0.elapsed().as_nanos() as u64);
             self.design_builds.fetch_add(1, Ordering::Relaxed);
             Ok(Arc::new(artifacts))
         })
@@ -303,7 +274,7 @@ impl LatencyEvaluator {
             }
             let artifacts = self.artifacts(arch)?;
             let report = artifacts.analyze()?;
-            self.analyzer_calls.fetch_add(1, Ordering::Relaxed);
+            self.meters.analyzer_calls.add(1);
             if self.store.enabled() {
                 self.store.put(&key, &persist::encode_report(&report));
             }
@@ -366,8 +337,7 @@ impl LatencyEvaluator {
             let artifacts = self.artifacts(arch)?;
             let t0 = Instant::now();
             let report = artifacts.simulate()?;
-            self.pass_sim_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.meters.pass_sim_ns.add(t0.elapsed().as_nanos() as u64);
             self.charge_lowering(&artifacts);
             self.sim_calls.fetch_add(1, Ordering::Relaxed);
             if self.store.enabled() {
@@ -402,13 +372,12 @@ impl LatencyEvaluator {
             let executor = Executor::with_workers(DEFAULT_PARTITIONS);
             let t0 = Instant::now();
             let (report, stats) = artifacts.simulate_partitioned(&executor)?;
-            self.pass_sim_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.meters.pass_sim_ns.add(t0.elapsed().as_nanos() as u64);
             self.charge_lowering(&artifacts);
-            self.partitions_built
-                .fetch_add(stats.partitions_built, Ordering::Relaxed);
-            self.cross_partition_events
-                .fetch_add(stats.cross_partition_events, Ordering::Relaxed);
+            self.meters.partitions_built.add(stats.partitions_built);
+            self.meters
+                .cross_partition_events
+                .add(stats.cross_partition_events);
             self.sim_calls.fetch_add(1, Ordering::Relaxed);
             if self.store.enabled() {
                 self.store
@@ -713,11 +682,11 @@ mod tests {
         let got = parallel.partitioned_latency(&a).unwrap();
         assert_eq!(got.get().to_bits(), want.get().to_bits());
 
-        let counters = parallel.pass_counters();
+        let counters = parallel.meters();
         assert!(counters.partitions_built >= 1, "{counters:?}");
-        assert!(counters.sim_ns > 0, "{counters:?}");
-        assert!(counters.graph_ns > 0, "{counters:?}");
-        assert_eq!(single.pass_counters().partitions_built, 0);
+        assert!(counters.pass_sim_ns > 0, "{counters:?}");
+        assert!(counters.pass_graph_ns > 0, "{counters:?}");
+        assert_eq!(single.meters().partitions_built, 0);
 
         // Both backends share the memo cache: the partitioned result now
         // serves the plain simulated path without a second simulation.
@@ -738,7 +707,7 @@ mod tests {
             eval.partitioned_latency(&a).unwrap().get().to_bits()
         );
         assert_eq!(eval.sim_calls(), 1, "dispatch must hit the memoised path");
-        assert!(eval.pass_counters().partitions_built >= 1);
+        assert!(eval.meters().partitions_built >= 1);
     }
 
     #[test]
@@ -746,14 +715,17 @@ mod tests {
         let eval = LatencyEvaluator::new(FpgaDevice::pynq(), (1, 14, 14));
         let a = arch(&[(5, 18), (3, 18)]);
         let _ = eval.simulated_latency(&a).unwrap();
-        let first = eval.pass_counters();
-        assert!(first.graph_ns > 0 && first.schedule_ns > 0, "{first:?}");
+        let first = eval.meters();
+        assert!(
+            first.pass_graph_ns > 0 && first.pass_schedule_ns > 0,
+            "{first:?}"
+        );
         // Forcing the scheduled stage again must not double-charge the
         // lowering passes (they are claimed once per artifact).
         let _ = eval.deploy(&a).unwrap();
-        let second = eval.pass_counters();
-        assert_eq!(second.graph_ns, first.graph_ns);
-        assert_eq!(second.partition_ns, first.partition_ns);
-        assert_eq!(second.schedule_ns, first.schedule_ns);
+        let second = eval.meters();
+        assert_eq!(second.pass_graph_ns, first.pass_graph_ns);
+        assert_eq!(second.pass_partition_ns, first.pass_partition_ns);
+        assert_eq!(second.pass_schedule_ns, first.pass_schedule_ns);
     }
 }

@@ -10,6 +10,7 @@ use std::fs;
 use std::path::Path;
 use std::time::Duration;
 
+use fnas_exec::telemetry::Unit;
 use fnas_exec::TelemetrySnapshot;
 
 use crate::Result;
@@ -140,7 +141,9 @@ pub fn factor(x: f64) -> String {
 }
 
 /// Renders a [`TelemetrySnapshot`] as a two-column metric table — the
-/// format the throughput bench and the examples print after a search.
+/// format the throughput bench and the examples print after a search: one
+/// row per counter in table order (nanosecond counters in milliseconds),
+/// then the derived rates and the total wall time.
 ///
 /// # Examples
 ///
@@ -155,49 +158,30 @@ pub fn factor(x: f64) -> String {
 pub fn telemetry_table(t: &TelemetrySnapshot) -> Table {
     let ms = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1e3);
     let mut table = Table::new(vec!["metric", "value"]);
-    let mut push = |metric: &str, value: String| {
-        table.push_row(vec![metric.to_string(), value]);
-    };
-    push("children sampled", t.children_sampled.to_string());
-    push("children pruned", t.children_pruned.to_string());
-    push("children trained", t.children_trained.to_string());
-    push("children unbuildable", t.children_unbuildable.to_string());
-    push("children failed", t.children_failed.to_string());
-    push("episodes", t.episodes.to_string());
-    push("panics caught", t.panics_caught.to_string());
-    push("oracle retries", t.retries.to_string());
-    push("quarantined accuracies", t.quarantined.to_string());
-    push("checkpoints written", t.checkpoints_written.to_string());
-    push("prune rate", pct(t.prune_rate() as f32));
-    push("analyzer calls", t.analyzer_calls.to_string());
-    push("train calls", t.train_calls.to_string());
-    push(
-        "latency cache hit rate",
-        pct(t.latency_cache_hit_rate() as f32),
-    );
-    push(
-        "accuracy cache hit rate",
-        pct(t.accuracy_cache_hit_rate() as f32),
-    );
-    push("store hits", t.store_hits.to_string());
-    push("store misses", t.store_misses.to_string());
-    push("store hit rate", pct(t.store_hit_rate() as f32));
-    push("store writes", t.store_writes.to_string());
-    push("store evictions", t.store_evictions.to_string());
-    push("store bytes on disk", t.store_bytes.to_string());
-    for (name, ns) in t.pass_ns() {
-        push(&format!("pass {name} (ms)"), ms(Duration::from_nanos(ns)));
+    for row in t.rows() {
+        table.push_row(match row.unit {
+            Unit::Count => vec![row.label.to_string(), row.value.to_string()],
+            Unit::Ns => vec![
+                format!("{} (ms)", row.label),
+                ms(Duration::from_nanos(row.value)),
+            ],
+        });
     }
-    push("partitions built", t.partitions_built.to_string());
-    push(
-        "cross-partition events",
-        t.cross_partition_events.to_string(),
-    );
-    push("sample wall (ms)", ms(t.sample_time));
-    push("latency wall (ms)", ms(t.latency_time));
-    push("accuracy wall (ms)", ms(t.accuracy_time));
-    push("update wall (ms)", ms(t.update_time));
-    push("total wall (ms)", ms(t.total_time()));
+    for (metric, value) in [
+        ("prune rate", pct(t.prune_rate() as f32)),
+        (
+            "latency cache hit rate",
+            pct(t.latency_cache_hit_rate() as f32),
+        ),
+        (
+            "accuracy cache hit rate",
+            pct(t.accuracy_cache_hit_rate() as f32),
+        ),
+        ("store hit rate", pct(t.store_hit_rate() as f32)),
+        ("total wall (ms)", ms(t.total_time())),
+    ] {
+        table.push_row(vec![metric.to_string(), value]);
+    }
     table
 }
 
@@ -274,7 +258,7 @@ mod tests {
             ..Default::default()
         };
         let t = telemetry_table(&snap);
-        assert_eq!(t.len(), 33);
+        assert_eq!(t.len(), 45);
         let md = t.to_markdown();
         assert!(md.contains("| children sampled | 10 |"));
         assert!(md.contains("| prune rate | 40.00% |"));

@@ -19,7 +19,6 @@ use crate::checkpoint::SearchCheckpoint;
 use crate::cost::{CostModel, SearchCost};
 use crate::evaluator::{AccuracyEvaluator, SurrogateEvaluator};
 use crate::latency::LatencyEvaluator;
-use crate::resilience::FaultStatsSnapshot;
 use crate::{FnasError, Result};
 
 use super::config::{BatchOptions, CheckpointOptions, CheckpointPolicy, SearchConfig};
@@ -205,8 +204,9 @@ impl Searcher {
             cost_model,
             rng,
         } = self;
-        let cache_base = oracle.cache_counters();
-        let fault_base = oracle.fault_stats().unwrap_or_default();
+        // The oracle's counters outlive this run, so the run is charged
+        // the difference from this reading.
+        let base = oracle.meters();
 
         let total = preset.trials();
         let mut trials;
@@ -233,7 +233,7 @@ impl Searcher {
             }
             None => {
                 *baseline = EmaBaseline::new(config.baseline_decay);
-                trials = Vec::with_capacity(total);
+                trials = Vec::new();
                 cost = SearchCost::default();
                 episode = 0;
             }
@@ -259,7 +259,7 @@ impl Searcher {
             episode += 1;
             if let Some(c) = ckpt {
                 if episode.is_multiple_of(c.every_episodes()) {
-                    telemetry.add_checkpoint_written();
+                    telemetry.checkpoints_written.add(1);
                     let (shard_index, shard_count) = c.shard();
                     let snap = SearchCheckpoint {
                         shard_index,
@@ -273,7 +273,10 @@ impl Searcher {
                         baseline: baseline.raw_value(),
                         cost,
                         trainer: trainer.export_state(),
-                        telemetry: logical_counters(oracle, &telemetry, fault_base),
+                        telemetry: telemetry
+                            .snapshot()
+                            .merge(&oracle.meters().since(&base))
+                            .logical(),
                         trials: trials.clone(),
                     };
                     snap.save(c.path())?;
@@ -285,11 +288,7 @@ impl Searcher {
             }
         }
 
-        oracle.charge_cache_deltas(&telemetry, cache_base);
-        if let Some(stats) = oracle.fault_stats() {
-            telemetry.add_retries(stats.retries - fault_base.retries);
-            telemetry.add_quarantined(stats.quarantined - fault_base.quarantined);
-        }
+        telemetry.merge_snapshot(&oracle.meters().since(&base));
         Ok(SearchOutcome {
             mode,
             trials,
@@ -347,44 +346,8 @@ impl Searcher {
             baseline: self.baseline.raw_value(),
             cost: outcome.cost,
             trainer: self.trainer.export_state(),
-            telemetry: logical_slice(&outcome.telemetry),
+            telemetry: outcome.telemetry.logical(),
             trials: outcome.trials.clone(),
         }
-    }
-}
-
-/// The process-independent slice of the live telemetry: logical counters
-/// (including fault deltas accrued by the oracle so far), with cache
-/// traffic, analyzer calls and wall times zeroed — those describe *this*
-/// process and must not be replayed into a resumed run's accounting.
-fn logical_counters(
-    oracle: &ChildOracle,
-    telemetry: &SearchTelemetry,
-    fault_base: FaultStatsSnapshot,
-) -> TelemetrySnapshot {
-    let mut s = logical_slice(&telemetry.snapshot());
-    if let Some(f) = oracle.fault_stats() {
-        s.retries += f.retries - fault_base.retries;
-        s.quarantined += f.quarantined - fault_base.quarantined;
-    }
-    s
-}
-
-/// Projects a snapshot onto its logical counters, zeroing cache traffic,
-/// analyzer calls and wall times.
-fn logical_slice(live: &TelemetrySnapshot) -> TelemetrySnapshot {
-    TelemetrySnapshot {
-        children_sampled: live.children_sampled,
-        children_pruned: live.children_pruned,
-        children_trained: live.children_trained,
-        children_unbuildable: live.children_unbuildable,
-        children_failed: live.children_failed,
-        episodes: live.episodes,
-        panics_caught: live.panics_caught,
-        retries: live.retries,
-        quarantined: live.quarantined,
-        checkpoints_written: live.checkpoints_written,
-        train_calls: live.train_calls,
-        ..TelemetrySnapshot::default()
     }
 }

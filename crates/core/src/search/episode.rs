@@ -27,7 +27,7 @@
 use fnas_controller::arch::ChildArch;
 use fnas_controller::reinforce::{ArchSample, EmaBaseline, ReinforceTrainer, TrainerState};
 use fnas_controller::rnn::PolicyRnn;
-use fnas_exec::{derive_child_seed, Deadline, Executor, Phase, SearchTelemetry, TelemetrySnapshot};
+use fnas_exec::{derive_child_seed, Deadline, Executor, SearchTelemetry, TelemetrySnapshot};
 use fnas_fpga::Millis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -158,14 +158,14 @@ impl<'a> EpisodeRunner<'a> {
         let mode = self.config.mode();
 
         let samples = {
-            let _t = telemetry.phase_timer(Phase::Sample);
+            let _t = telemetry.sample_time.timer();
             let mut batch = Vec::with_capacity(n);
             for _ in 0..n {
                 batch.push(self.sampler.sample(rng)?);
             }
             batch
         };
-        telemetry.add_sampled(n as u64);
+        telemetry.children_sampled.add(n as u64);
         let archs: Vec<ChildArch> = samples.iter().map(|s| s.arch().clone()).collect();
 
         // Memo-first dispatch: children the oracle has already answered
@@ -175,7 +175,7 @@ impl<'a> EpisodeRunner<'a> {
         // whatever its lookup counts.
         let oracle = self.oracle;
         let latencies: Vec<Result<Millis>> = {
-            let _t = telemetry.phase_timer(Phase::Latency);
+            let _t = telemetry.latency_time.timer();
             self.executor.map_memo(
                 &archs,
                 |_, arch| oracle.latency_eval().memo_latency(arch).map(Ok),
@@ -195,7 +195,9 @@ impl<'a> EpisodeRunner<'a> {
                 .collect(),
             SearchMode::Nas => vec![true; archs.len()],
         };
-        telemetry.add_train_calls(needs_accuracy.iter().filter(|&&b| b).count() as u64);
+        telemetry
+            .train_calls
+            .add(needs_accuracy.iter().filter(|&&b| b).count() as u64);
 
         let run_seed = self.config.seed();
         let episode = snapshot.episode;
@@ -208,7 +210,7 @@ impl<'a> EpisodeRunner<'a> {
         // bit-identical-across-worker-counts invariant.
         let deadline_ticks = self.config.child_deadline_ticks();
         let accuracies = {
-            let _t = telemetry.phase_timer(Phase::Accuracy);
+            let _t = telemetry.accuracy_time.timer();
             self.executor.map_settle_memo(
                 &archs,
                 |child, arch| {
@@ -229,7 +231,7 @@ impl<'a> EpisodeRunner<'a> {
         // Serial epilogue, in sample order: rewards see the baseline as
         // of the previous child. The trainer is untouched — the would-be
         // updates are returned as the factored gradient.
-        let _t = telemetry.phase_timer(Phase::Update);
+        let _t = telemetry.update_time.timer();
         let mut trials = Vec::with_capacity(n);
         let mut grads = Vec::with_capacity(n);
         let mut cost = SearchCost::default();
@@ -240,7 +242,7 @@ impl<'a> EpisodeRunner<'a> {
             let accuracy: Option<Result<f32>> = match settled {
                 Ok(acc) => acc,
                 Err(fault) => {
-                    telemetry.add_panic_caught();
+                    telemetry.panics_caught.add(1);
                     Some(Err(FnasError::Oracle {
                         what: fault.to_string(),
                         transient: fault.is_timeout(),
@@ -252,7 +254,7 @@ impl<'a> EpisodeRunner<'a> {
                     cost.add(self.cost_model.analyzer_cost());
                     match latency {
                         Err(_) => {
-                            telemetry.add_unbuildable();
+                            telemetry.children_unbuildable.add(1);
                             TrialRecord {
                                 index,
                                 arch,
@@ -265,7 +267,7 @@ impl<'a> EpisodeRunner<'a> {
                         Ok(l) if l.get() > required.get() => {
                             let reward = violation_reward(l, required);
                             if self.config.pruning() {
-                                telemetry.add_pruned();
+                                telemetry.children_pruned.add(1);
                                 TrialRecord {
                                     index,
                                     arch,
@@ -278,7 +280,7 @@ impl<'a> EpisodeRunner<'a> {
                                 match accuracy.expect("ablation evaluates violators") {
                                     Ok(accuracy) => {
                                         cost.add(self.training_cost(&arch, preset)?);
-                                        telemetry.add_trained();
+                                        telemetry.children_trained.add(1);
                                         TrialRecord {
                                             index,
                                             arch,
@@ -299,7 +301,7 @@ impl<'a> EpisodeRunner<'a> {
                                 let reward = valid_reward(accuracy, baseline.value(), l, required);
                                 baseline.observe(accuracy);
                                 cost.add(self.training_cost(&arch, preset)?);
-                                telemetry.add_trained();
+                                telemetry.children_trained.add(1);
                                 TrialRecord {
                                     index,
                                     arch,
@@ -319,7 +321,7 @@ impl<'a> EpisodeRunner<'a> {
                         let reward = accuracy - baseline.value();
                         baseline.observe(accuracy);
                         cost.add(self.training_cost(&arch, preset)?);
-                        telemetry.add_trained();
+                        telemetry.children_trained.add(1);
                         TrialRecord {
                             index,
                             arch,
@@ -346,7 +348,7 @@ impl<'a> EpisodeRunner<'a> {
             }
         }
         drop(_t);
-        telemetry.add_episode();
+        telemetry.episodes.add(1);
 
         Ok(EpisodeResult {
             episode,

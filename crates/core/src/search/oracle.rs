@@ -10,7 +10,7 @@
 //! behind `&self`, so the engine can hand one reference to every worker.
 
 use fnas_controller::arch::ChildArch;
-use fnas_exec::{Deadline, SearchTelemetry, ShardedCache};
+use fnas_exec::{Deadline, ShardedCache, TelemetrySnapshot};
 use fnas_fpga::Millis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,23 +19,6 @@ use crate::evaluator::AccuracyEvaluator;
 use crate::latency::LatencyEvaluator;
 use crate::resilience::FaultStatsSnapshot;
 use crate::Result;
-
-/// Cache-counter baseline captured at the start of a run; per-run
-/// telemetry is the delta against it (the oracle's caches outlive
-/// individual runs).
-#[derive(Debug, Clone, Copy)]
-pub struct CacheCounterBase {
-    latency_hits: u64,
-    latency_misses: u64,
-    analyzer_calls: u64,
-    accuracy_hits: u64,
-    accuracy_misses: u64,
-    store_hits: u64,
-    store_misses: u64,
-    store_writes: u64,
-    store_evictions: u64,
-    passes: crate::latency::PassCounters,
-}
 
 /// Latency + accuracy + fault stats for one child architecture.
 #[derive(Debug)]
@@ -132,57 +115,19 @@ impl ChildOracle {
         self.evaluator.fault_stats()
     }
 
-    /// Captures the current cache counters as a per-run baseline.
-    pub(super) fn cache_counters(&self) -> CacheCounterBase {
-        let store = self.latency.store_counters();
-        CacheCounterBase {
-            latency_hits: self.latency.cache_hits(),
-            latency_misses: self.latency.cache_misses(),
-            analyzer_calls: self.latency.analyzer_calls(),
-            accuracy_hits: self.accuracy_cache.hits(),
-            accuracy_misses: self.accuracy_cache.misses(),
-            store_hits: store.hits,
-            store_misses: store.misses,
-            store_writes: store.writes,
-            store_evictions: store.evictions,
-            passes: self.latency.pass_counters(),
+    /// The oracle's cumulative counters: the latency evaluator's (see
+    /// [`LatencyEvaluator::meters`]) plus accuracy-cache traffic and the
+    /// accuracy oracle's retries and quarantines. They outlive single
+    /// runs, so a run charges `meters().since(&base)` against a reading
+    /// taken at its start.
+    pub(super) fn meters(&self) -> TelemetrySnapshot {
+        let faults = self.fault_stats().unwrap_or_default();
+        TelemetrySnapshot {
+            accuracy_cache_hits: self.accuracy_cache.hits(),
+            accuracy_cache_misses: self.accuracy_cache.misses(),
+            retries: faults.retries,
+            quarantined: faults.quarantined,
+            ..self.latency.meters()
         }
-    }
-
-    /// Charges the cache traffic since `base` into `telemetry`.
-    pub(super) fn charge_cache_deltas(&self, telemetry: &SearchTelemetry, base: CacheCounterBase) {
-        telemetry.add_latency_cache(
-            self.latency.cache_hits() - base.latency_hits,
-            self.latency.cache_misses() - base.latency_misses,
-        );
-        telemetry.add_analyzer_calls(self.latency.analyzer_calls() - base.analyzer_calls);
-        telemetry.add_accuracy_cache(
-            self.accuracy_cache.hits() - base.accuracy_hits,
-            self.accuracy_cache.misses() - base.accuracy_misses,
-        );
-        // The store handle may be shared beyond this run (one DiskStore per
-        // worker process); saturate so an out-of-run decrease can't wrap.
-        let store = self.latency.store_counters();
-        telemetry.add_store_cache(
-            store.hits.saturating_sub(base.store_hits),
-            store.misses.saturating_sub(base.store_misses),
-            store.writes.saturating_sub(base.store_writes),
-        );
-        telemetry.add_store_state(
-            store.evictions.saturating_sub(base.store_evictions),
-            store.bytes_on_disk,
-        );
-        let passes = self.latency.pass_counters();
-        telemetry.add_pass_nanos(
-            passes.design_ns - base.passes.design_ns,
-            passes.graph_ns - base.passes.graph_ns,
-            passes.partition_ns - base.passes.partition_ns,
-            passes.schedule_ns - base.passes.schedule_ns,
-            passes.sim_ns - base.passes.sim_ns,
-        );
-        telemetry.add_partition_stats(
-            passes.partitions_built - base.passes.partitions_built,
-            passes.cross_partition_events - base.passes.cross_partition_events,
-        );
     }
 }

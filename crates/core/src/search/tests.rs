@@ -246,15 +246,17 @@ fn batched_runs_all_trials_and_reports_telemetry() {
 fn batched_respects_required_accuracy_early_stop() {
     let opts = BatchOptions::sequential().with_batch_size(4);
     // A permissive rA stops the search early; an unreachable one never
-    // triggers.
-    for (ra, stops) in [(0.5, true), (2.0, false)] {
-        let cfg = SearchConfig::nas(quick_preset().with_trials(50)).with_required_accuracy(ra);
+    // triggers. A 2^40-trial budget that stops early must not have
+    // reserved room for every trial up front.
+    for (trials, ra, stops) in [(50, 0.5, true), (50, 2.0, false), (1 << 40, 0.5, true)] {
+        let cfg = SearchConfig::nas(ExperimentPreset::mnist().with_trials(trials))
+            .with_required_accuracy(ra);
         let out = Searcher::surrogate(&cfg)
             .unwrap()
             .run_batched(&cfg, &opts)
             .unwrap();
         let ran = out.trials().len();
-        assert_eq!(ran < 50, stops, "rA {ra}: ran {ran} trials");
+        assert_eq!(ran < trials, stops, "rA {ra}: ran {ran} of {trials} trials");
         if stops {
             assert!(out.trials().last().unwrap().accuracy.unwrap() >= ra);
         }
@@ -620,7 +622,7 @@ fn chaos_run_completes_with_finite_rewards_and_fault_telemetry() {
     let t = sequential.telemetry();
     assert!(
         t.retries > 0 || t.children_failed > 0 || t.panics_caught > 0,
-        "these rates should have injected something: {t}"
+        "these rates should have injected something: {t:?}"
     );
     // Chaos is deterministic in the per-child streams: the pooled run
     // reproduces the sequential one bit-for-bit, faults included.

@@ -58,7 +58,7 @@ pub(super) fn failed_or_unbuildable(
     match e {
         FnasError::InvalidConfig { .. } => Err(e),
         FnasError::Nn(_) | FnasError::Fpga(_) => {
-            telemetry.add_unbuildable();
+            telemetry.children_unbuildable.add(1);
             Ok(TrialRecord {
                 index,
                 arch,
@@ -69,7 +69,7 @@ pub(super) fn failed_or_unbuildable(
             })
         }
         _ => {
-            telemetry.add_failed();
+            telemetry.children_failed.add(1);
             Ok(TrialRecord {
                 index,
                 arch,

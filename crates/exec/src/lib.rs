@@ -21,9 +21,10 @@
 //!   hit/miss counters and **single-flight** fallible inserts: concurrent
 //!   misses on one key elect a leader to run the builder exactly once
 //!   while followers wait and share the value;
-//! * [`telemetry`] — atomic counters and monotonic phase timers
-//!   ([`SearchTelemetry`]) snapshotting into a plain
-//!   [`TelemetrySnapshot`] for reports;
+//! * [`telemetry`] — one table of counters, declared once, generating
+//!   the live [`SearchTelemetry`] meters and the plain
+//!   [`TelemetrySnapshot`] with its merges, checkpoint projection and
+//!   report rows;
 //! * [`hash`] — FNV-1a and the SplitMix64 step shared with `fnas-fpga`;
 //! * [`seed`] — the deterministic per-child seed derivation
 //!   ([`derive_child_seed`]) that makes results bit-identical regardless
@@ -49,5 +50,5 @@ pub mod watchdog;
 pub use cache::ShardedCache;
 pub use executor::{Executor, TaskFault};
 pub use seed::{derive_child_seed, derive_round_seed, derive_shard_seed};
-pub use telemetry::{Phase, SearchTelemetry, TelemetrySnapshot};
+pub use telemetry::{Meter, SearchTelemetry, TelemetrySnapshot};
 pub use watchdog::{Deadline, DeadlineExceeded, Watchdog};

@@ -1,73 +1,365 @@
-//! Search telemetry: atomic counters and monotonic phase timers.
+//! Search telemetry: one table of counters, each declared once.
 //!
 //! The engine records what the search actually did — children sampled,
 //! pruned, trained, cache traffic, analyzer/train calls — and how long
-//! each phase of the batch loop took on the wall clock. Counters are
-//! monotonic `AtomicU64`s (overflow-safe for any feasible run length;
-//! the `usize` fields they replace wrap after 2³² on 32-bit targets) so
-//! workers can bump them without locks; a [`SearchTelemetry::snapshot`]
-//! freezes everything into a plain [`TelemetrySnapshot`] for reporting.
+//! each phase of the batch loop took on the wall clock. Every counter is
+//! one row of the `counters!` table below, which gives:
+//!
+//! * the field name;
+//! * the type: `u64`, or `Duration` for the phase wall times;
+//! * the merge rule: `sum` (saturating, never wrapping), or `max` for a
+//!   gauge such as the store's bytes on disk;
+//! * the scope: `logical` counters describe search progress and persist in
+//!   FNASCKPT checkpoints, as one `u64` word each in table order; `local`
+//!   ones describe work done by this process and never enter checkpoint
+//!   bytes;
+//! * the unit: `count` or `ns`;
+//! * the label reports print.
+//!
+//! From the table the macro generates the live [`SearchTelemetry`] (one
+//! relaxed atomic [`Meter`] per row, so workers bump counters without
+//! locks), the frozen [`TelemetrySnapshot`], both merges, resume
+//! ([`SearchTelemetry::restore_counters`]), the delta a run charges
+//! ([`TelemetrySnapshot::since`]), the checkpoint projection and codec
+//! words, and the rendered [`TelemetrySnapshot::rows`].
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// One phase of the batch search loop, for wall-time attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Controller sampling (serial).
-    Sample,
-    /// FPGA latency analysis (parallel).
-    Latency,
-    /// Child accuracy evaluation (parallel).
-    Accuracy,
-    /// Reward computation + REINFORCE updates (serial).
-    Update,
+/// One live counter: a relaxed `AtomicU64` (a `Duration` counter holds
+/// nanoseconds).
+#[derive(Debug, Default)]
+pub struct Meter(AtomicU64);
+
+impl Meter {
+    /// Adds `n`, saturating at `u64::MAX` instead of wrapping: a counter
+    /// folded from many shards must never wrap back to a small number and
+    /// mis-report a run as short.
+    pub fn add(&self, n: u64) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                Some(cur.saturating_add(n))
+            });
+    }
+
+    /// Raises the meter to `n` if it is lower (a gauge, kept as a running
+    /// maximum so merges stay commutative).
+    pub fn max(&self, n: u64) {
+        self.0.fetch_max(n, Ordering::Relaxed);
+    }
+
+    /// Starts a monotonic timer that adds its lifetime, in nanoseconds, to
+    /// this meter when dropped.
+    #[must_use = "the timer records on drop"]
+    pub fn timer(&self) -> Timer<'_> {
+        Timer {
+            meter: self,
+            start: Instant::now(),
+        }
+    }
+
+    /// The current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    fn set(&self, n: u64) {
+        self.0.store(n, Ordering::Relaxed);
+    }
 }
 
-/// Live counters shared by the engine and its workers.
-#[derive(Debug, Default)]
-pub struct SearchTelemetry {
-    children_sampled: AtomicU64,
-    children_pruned: AtomicU64,
-    children_trained: AtomicU64,
-    children_unbuildable: AtomicU64,
-    children_failed: AtomicU64,
-    episodes: AtomicU64,
-    panics_caught: AtomicU64,
-    retries: AtomicU64,
-    quarantined: AtomicU64,
-    checkpoints_written: AtomicU64,
-    leases_expired: AtomicU64,
-    shards_redispatched: AtomicU64,
-    duplicate_results: AtomicU64,
-    journal_records: AtomicU64,
-    rounds_recovered: AtomicU64,
-    stale_submissions_rejected: AtomicU64,
-    retries_served: AtomicU64,
-    retry_sleep_ms: AtomicU64,
-    analyzer_calls: AtomicU64,
-    train_calls: AtomicU64,
-    latency_cache_hits: AtomicU64,
-    latency_cache_misses: AtomicU64,
-    accuracy_cache_hits: AtomicU64,
-    accuracy_cache_misses: AtomicU64,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    store_writes: AtomicU64,
-    store_evictions: AtomicU64,
-    store_bytes: AtomicU64,
-    pass_design_ns: AtomicU64,
-    pass_graph_ns: AtomicU64,
-    pass_partition_ns: AtomicU64,
-    pass_schedule_ns: AtomicU64,
-    pass_sim_ns: AtomicU64,
-    partitions_built: AtomicU64,
-    cross_partition_events: AtomicU64,
-    sample_nanos: AtomicU64,
-    latency_nanos: AtomicU64,
-    accuracy_nanos: AtomicU64,
-    update_nanos: AtomicU64,
+/// RAII guard adding its lifetime to one [`Meter`] (see [`Meter::timer`]).
+#[derive(Debug)]
+pub struct Timer<'a> {
+    meter: &'a Meter,
+    start: Instant,
+}
+
+impl Drop for Timer<'_> {
+    fn drop(&mut self) {
+        self.meter.add(self.start.elapsed().raw());
+    }
+}
+
+/// Whether a counter persists in checkpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// Search progress: persisted in FNASCKPT, restored on resume.
+    Logical,
+    /// Work done by this process: never persisted or replayed.
+    Local,
+}
+
+/// What a counter's raw value counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// Events, calls, items or bytes.
+    Count,
+    /// Nanoseconds of wall time.
+    Ns,
+}
+
+/// One counter of a snapshot, as [`TelemetrySnapshot::rows`] lists it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterRow {
+    /// The counter's label, e.g. `"children sampled"`.
+    pub label: &'static str,
+    /// The raw value, in [`CounterRow::unit`]s.
+    pub value: u64,
+    /// What the value counts.
+    pub unit: Unit,
+    /// Whether checkpoints persist the counter.
+    pub scope: Scope,
+}
+
+/// The two counter types, each stored as one `u64` word.
+trait Value: Copy + Ord + Default {
+    fn from_raw(raw: u64) -> Self;
+    fn raw(self) -> u64;
+    fn sat_add(self, other: Self) -> Self;
+    fn sat_sub(self, other: Self) -> Self;
+}
+
+impl Value for u64 {
+    fn from_raw(raw: u64) -> Self {
+        raw
+    }
+    fn raw(self) -> u64 {
+        self
+    }
+    fn sat_add(self, other: Self) -> Self {
+        self.saturating_add(other)
+    }
+    fn sat_sub(self, other: Self) -> Self {
+        self.saturating_sub(other)
+    }
+}
+
+impl Value for Duration {
+    fn from_raw(raw: u64) -> Self {
+        Duration::from_nanos(raw)
+    }
+    fn raw(self) -> u64 {
+        u64::try_from(self.as_nanos()).unwrap_or(u64::MAX)
+    }
+    fn sat_add(self, other: Self) -> Self {
+        self.checked_add(other).unwrap_or(Duration::MAX)
+    }
+    fn sat_sub(self, other: Self) -> Self {
+        self.saturating_sub(other)
+    }
+}
+
+macro_rules! counters {
+    (@merge sum, $a:expr, $b:expr) => { $a.sat_add($b) };
+    (@merge max, $a:expr, $b:expr) => { Ord::max($a, $b) };
+    (@since sum, $now:expr, $base:expr) => { $now.sat_sub($base) };
+    (@since max, $now:expr, $base:expr) => { $now };
+    (@live sum, $meter:expr, $raw:expr) => { $meter.add($raw) };
+    (@live max, $meter:expr, $raw:expr) => { $meter.max($raw) };
+    (@restore logical, $meter:expr, $v:expr) => { $meter.set($v.raw()) };
+    (@restore local, $meter:expr, $v:expr) => {};
+    (@logical logical, $v:expr) => { $v };
+    (@logical local, $v:expr) => { Value::from_raw(0) };
+    (@read logical, $next:ident) => { Value::from_raw($next()?) };
+    (@read local, $next:ident) => { Value::from_raw(0) };
+    (@scope logical) => { Scope::Logical };
+    (@scope local) => { Scope::Local };
+    (@unit count) => { Unit::Count };
+    (@unit ns) => { Unit::Ns };
+    ($(
+        $(#[$doc:meta])*
+        $name:ident: $ty:ident, $merge:ident, $scope:ident, $unit:ident, $label:literal;
+    )*) => {
+        /// Live counters shared by the engine and its workers: one
+        /// [`Meter`] per row of the counter table.
+        #[derive(Debug, Default)]
+        pub struct SearchTelemetry {
+            $($(#[$doc])* pub $name: Meter,)*
+        }
+
+        /// A frozen view of [`SearchTelemetry`], safe to store in search
+        /// outcomes and checkpoints and to render into reports.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct TelemetrySnapshot {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        impl SearchTelemetry {
+            /// Freezes the current values into a plain snapshot.
+            pub fn snapshot(&self) -> TelemetrySnapshot {
+                TelemetrySnapshot {
+                    $($name: Value::from_raw(self.$name.get()),)*
+                }
+            }
+
+            /// Folds a frozen snapshot into the live counters by each
+            /// row's merge rule — the engine's path for absorbing an
+            /// episode's or a run's telemetry delta. Equal to
+            /// [`TelemetrySnapshot::merge`].
+            pub fn merge_snapshot(&self, s: &TelemetrySnapshot) {
+                $(counters!(@live $merge, self.$name, s.$name.raw());)*
+            }
+
+            /// Pre-loads the logical counters from a snapshot (checkpoint
+            /// resume). Local counters describe work actually performed by
+            /// *this* process and are not replayed.
+            pub fn restore_counters(&self, s: &TelemetrySnapshot) {
+                $(counters!(@restore $scope, self.$name, s.$name);)*
+            }
+        }
+
+        impl TelemetrySnapshot {
+            /// The pure reduction behind every telemetry merge: saturating
+            /// addition of every `sum` counter, maximum of every gauge.
+            /// Both are commutative and associative, so folding any number
+            /// of shard snapshots gives the same result in any association
+            /// order.
+            #[must_use]
+            pub fn merge(&self, other: &TelemetrySnapshot) -> TelemetrySnapshot {
+                TelemetrySnapshot {
+                    $($name: counters!(@merge $merge, self.$name, other.$name),)*
+                }
+            }
+
+            /// What happened since `base`, an earlier reading of the same
+            /// cumulative counters: each `sum` counter subtracts,
+            /// saturating at zero, and each gauge keeps its current value.
+            #[must_use]
+            pub fn since(&self, base: &TelemetrySnapshot) -> TelemetrySnapshot {
+                TelemetrySnapshot {
+                    $($name: counters!(@since $merge, self.$name, base.$name),)*
+                }
+            }
+
+            /// The checkpoint projection: the logical counters, with every
+            /// local counter reading zero.
+            #[must_use]
+            pub fn logical(&self) -> TelemetrySnapshot {
+                TelemetrySnapshot {
+                    $($name: counters!(@logical $scope, self.$name),)*
+                }
+            }
+
+            /// Reads [`TelemetrySnapshot::logical_words`] back, one word
+            /// per `next()` call in table order; every local counter reads
+            /// zero.
+            ///
+            /// # Errors
+            ///
+            /// The first error `next` returns.
+            pub fn from_logical_words<E>(
+                mut next: impl FnMut() -> Result<u64, E>,
+            ) -> Result<TelemetrySnapshot, E> {
+                Ok(TelemetrySnapshot {
+                    $($name: counters!(@read $scope, next),)*
+                })
+            }
+
+            /// Every counter's label, raw value, unit and scope, in table
+            /// order.
+            pub fn rows(&self) -> Vec<CounterRow> {
+                vec![$(CounterRow {
+                    label: $label,
+                    value: self.$name.raw(),
+                    unit: counters!(@unit $unit),
+                    scope: counters!(@scope $scope),
+                },)*]
+            }
+        }
+    };
+}
+
+counters! {
+    /// Children sampled from the controller.
+    children_sampled: u64, sum, logical, count, "children sampled";
+    /// Children pruned by the latency spec without training.
+    children_pruned: u64, sum, logical, count, "children pruned";
+    /// Children whose accuracy was evaluated (trained).
+    children_trained: u64, sum, logical, count, "children trained";
+    /// Children that could not be built at all.
+    children_unbuildable: u64, sum, logical, count, "children unbuildable";
+    /// Children whose evaluation faulted (panic, exhausted retries,
+    /// quarantine) and were settled into failed trials.
+    children_failed: u64, sum, logical, count, "children failed";
+    /// Completed episodes (batches).
+    episodes: u64, sum, logical, count, "episodes";
+    /// Child-evaluation panics caught and isolated.
+    panics_caught: u64, sum, logical, count, "panics caught";
+    /// Transient-fault retries issued by the resilient oracle.
+    retries: u64, sum, logical, count, "oracle retries";
+    /// Children quarantined for non-finite accuracies.
+    quarantined: u64, sum, logical, count, "quarantined accuracies";
+    /// Checkpoints written to disk during the run.
+    checkpoints_written: u64, sum, logical, count, "checkpoints written";
+    /// Accuracy-oracle invocations.
+    train_calls: u64, sum, logical, count, "train calls";
+    /// Uncached FNAS-tool (analyzer) invocations.
+    analyzer_calls: u64, sum, local, count, "analyzer calls";
+    /// Latency-cache hits.
+    latency_cache_hits: u64, sum, local, count, "latency cache hits";
+    /// Latency-cache misses.
+    latency_cache_misses: u64, sum, local, count, "latency cache misses";
+    /// Accuracy-cache hits.
+    accuracy_cache_hits: u64, sum, local, count, "accuracy cache hits";
+    /// Accuracy-cache misses.
+    accuracy_cache_misses: u64, sum, local, count, "accuracy cache misses";
+    /// Persistent-store (L2) hits: oracle answers served from disk.
+    store_hits: u64, sum, local, count, "store hits";
+    /// Persistent-store lookups that found no usable record.
+    store_misses: u64, sum, local, count, "store misses";
+    /// Records written through to the persistent store.
+    store_writes: u64, sum, local, count, "store writes";
+    /// Records evicted from the persistent store by garbage collection.
+    store_evictions: u64, sum, local, count, "store evictions";
+    /// Latest known persistent-store size in record bytes (a gauge).
+    store_bytes: u64, max, local, count, "store bytes on disk";
+    /// Wall time (ns) in the `design` lowering pass.
+    pass_design_ns: u64, sum, local, ns, "pass design";
+    /// Wall time (ns) in the `taskgraph` lowering pass.
+    pass_graph_ns: u64, sum, local, ns, "pass taskgraph";
+    /// Wall time (ns) in the `partition` lowering pass.
+    pass_partition_ns: u64, sum, local, ns, "pass partition";
+    /// Wall time (ns) in the `schedule` lowering pass.
+    pass_schedule_ns: u64, sum, local, ns, "pass schedule";
+    /// Wall time (ns) in the `sim` pass — cycle simulation, either
+    /// backend.
+    pass_sim_ns: u64, sum, local, ns, "pass sim";
+    /// Regions built by the `partition` pass for the parallel simulator.
+    partitions_built: u64, sum, local, count, "partitions built";
+    /// Cross-partition availability events settled by the partitioned
+    /// simulator.
+    cross_partition_events: u64, sum, local, count, "cross-partition events";
+    /// Shard leases that expired without a heartbeat (coordinator-side).
+    leases_expired: u64, sum, local, count, "leases expired";
+    /// Shards handed out more than once — speculative straggler copies
+    /// plus expired-lease re-dispatches (coordinator-side).
+    shards_redispatched: u64, sum, local, count, "shards re-dispatched";
+    /// Duplicate shard completions discarded first-wins after the
+    /// byte-compare assertion (coordinator-side).
+    duplicate_results: u64, sum, local, count, "duplicate results";
+    /// Records appended to the coordinator's crash-safe round journal.
+    journal_records: u64, sum, local, count, "journal records";
+    /// Completed rounds resumed from the round journal on coordinator
+    /// restart instead of being re-run.
+    rounds_recovered: u64, sum, local, count, "rounds recovered";
+    /// Submissions rejected by epoch fencing because they were produced
+    /// under a previous coordinator incarnation.
+    stale_submissions_rejected: u64, sum, local, count, "stale submissions rejected";
+    /// `Retry` answers served at the submit-admission cap
+    /// (coordinator-side).
+    retries_served: u64, sum, local, count, "retries served";
+    /// Milliseconds of backoff those retries advised.
+    retry_sleep_ms: u64, sum, local, count, "retry sleep (ms)";
+    /// Wall time in the (serial) sampling phase.
+    sample_time: Duration, sum, local, ns, "sample wall";
+    /// Wall time in the (parallel) latency phase.
+    latency_time: Duration, sum, local, ns, "latency wall";
+    /// Wall time in the (parallel) accuracy phase.
+    accuracy_time: Duration, sum, local, ns, "accuracy wall";
+    /// Wall time in the (serial) reward/update phase.
+    update_time: Duration, sum, local, ns, "update wall";
 }
 
 impl SearchTelemetry {
@@ -75,518 +367,9 @@ impl SearchTelemetry {
     pub fn new() -> Self {
         SearchTelemetry::default()
     }
-
-    /// Records `n` sampled children.
-    pub fn add_sampled(&self, n: u64) {
-        self.children_sampled.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one pruned (latency-violating, untrained) child.
-    pub fn add_pruned(&self) {
-        self.children_pruned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one trained child.
-    pub fn add_trained(&self) {
-        self.children_trained.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one unbuildable child.
-    pub fn add_unbuildable(&self) {
-        self.children_unbuildable.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one child whose evaluation faulted (panicked, exhausted its
-    /// retry budget, or was quarantined) without killing the run.
-    pub fn add_failed(&self) {
-        self.children_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one completed episode (batch).
-    pub fn add_episode(&self) {
-        self.episodes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one child-evaluation panic caught and settled into a failed
-    /// trial instead of propagating.
-    pub fn add_panic_caught(&self) {
-        self.panics_caught.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` transient-fault retries issued by the resilient oracle.
-    pub fn add_retries(&self, n: u64) {
-        self.retries.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` children quarantined for returning non-finite
-    /// accuracies.
-    pub fn add_quarantined(&self, n: u64) {
-        self.quarantined.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one checkpoint written to disk.
-    pub fn add_checkpoint_written(&self) {
-        self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one shard lease that expired without a heartbeat (the
-    /// coordinator reclaimed the shard for re-dispatch).
-    pub fn add_lease_expired(&self) {
-        self.leases_expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one shard handed out again — speculatively (straggler) or
-    /// after its lease expired.
-    pub fn add_shard_redispatched(&self) {
-        self.shards_redispatched.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one duplicate shard completion discarded by the
-    /// coordinator's first-wins rule (after the byte-compare assertion).
-    pub fn add_duplicate_result(&self) {
-        self.duplicate_results.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one record appended to the coordinator's round journal.
-    pub fn add_journal_record(&self) {
-        self.journal_records.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` completed rounds resumed from the round journal on
-    /// coordinator restart instead of being re-run.
-    pub fn add_rounds_recovered(&self, n: u64) {
-        self.rounds_recovered.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one submission rejected by epoch fencing: it was produced
-    /// under a lease issued by a previous coordinator incarnation.
-    pub fn add_stale_submission_rejected(&self) {
-        self.stale_submissions_rejected
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one `Retry` answered (coordinator-side: a deferred
-    /// submission at the admission cap) or received (worker-side),
-    /// together with the backoff it advised or cost.
-    pub fn add_retry_served(&self, backoff_ms: u64) {
-        self.retries_served.fetch_add(1, Ordering::Relaxed);
-        self.retry_sleep_ms.fetch_add(backoff_ms, Ordering::Relaxed);
-    }
-
-    /// Records backoff slept outside a `Retry` answer — connect-retry
-    /// waits on a coordinator that is momentarily unreachable.
-    pub fn add_retry_sleep_ms(&self, ms: u64) {
-        self.retry_sleep_ms.fetch_add(ms, Ordering::Relaxed);
-    }
-
-    /// Pre-loads the logical counters from a snapshot (checkpoint resume):
-    /// everything except cache traffic, analyzer calls and wall times,
-    /// which describe work actually performed by *this* process and are
-    /// not replayed.
-    pub fn restore_counters(&self, s: &TelemetrySnapshot) {
-        let store = |c: &AtomicU64, v: u64| c.store(v, Ordering::Relaxed);
-        store(&self.children_sampled, s.children_sampled);
-        store(&self.children_pruned, s.children_pruned);
-        store(&self.children_trained, s.children_trained);
-        store(&self.children_unbuildable, s.children_unbuildable);
-        store(&self.children_failed, s.children_failed);
-        store(&self.episodes, s.episodes);
-        store(&self.train_calls, s.train_calls);
-        store(&self.panics_caught, s.panics_caught);
-        store(&self.retries, s.retries);
-        store(&self.quarantined, s.quarantined);
-        store(&self.checkpoints_written, s.checkpoints_written);
-    }
-
-    /// Records `n` uncached analyzer invocations.
-    pub fn add_analyzer_calls(&self, n: u64) {
-        self.analyzer_calls.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` accuracy-oracle invocations.
-    pub fn add_train_calls(&self, n: u64) {
-        self.train_calls.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds latency-cache traffic (hit/miss deltas).
-    pub fn add_latency_cache(&self, hits: u64, misses: u64) {
-        self.latency_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.latency_cache_misses
-            .fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Adds accuracy-cache traffic (hit/miss deltas).
-    pub fn add_accuracy_cache(&self, hits: u64, misses: u64) {
-        self.accuracy_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.accuracy_cache_misses
-            .fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Adds persistent-store traffic (hit/miss/write deltas). Like the
-    /// in-memory cache counters, store traffic describes work done by
-    /// *this* process and is never replayed from checkpoints.
-    pub fn add_store_cache(&self, hits: u64, misses: u64, writes: u64) {
-        self.store_hits.fetch_add(hits, Ordering::Relaxed);
-        self.store_misses.fetch_add(misses, Ordering::Relaxed);
-        self.store_writes.fetch_add(writes, Ordering::Relaxed);
-    }
-
-    /// Adds per-pass lowering wall-time deltas, in pipeline order
-    /// (`design → taskgraph → partition → schedule → sim`), in
-    /// nanoseconds. Like cache traffic, pass timings describe work done
-    /// by *this* process and are never replayed from checkpoints.
-    pub fn add_pass_nanos(&self, design: u64, graph: u64, partition: u64, schedule: u64, sim: u64) {
-        self.pass_design_ns.fetch_add(design, Ordering::Relaxed);
-        self.pass_graph_ns.fetch_add(graph, Ordering::Relaxed);
-        self.pass_partition_ns
-            .fetch_add(partition, Ordering::Relaxed);
-        self.pass_schedule_ns.fetch_add(schedule, Ordering::Relaxed);
-        self.pass_sim_ns.fetch_add(sim, Ordering::Relaxed);
-    }
-
-    /// Records partitioned-simulation traffic: regions built by the
-    /// `partition` pass and cross-partition events settled by the
-    /// parallel simulator (process-local, like the pass timings).
-    pub fn add_partition_stats(&self, partitions: u64, cross_events: u64) {
-        self.partitions_built
-            .fetch_add(partitions, Ordering::Relaxed);
-        self.cross_partition_events
-            .fetch_add(cross_events, Ordering::Relaxed);
-    }
-
-    /// Records persistent-store state: an eviction delta, and the latest
-    /// known record bytes on disk (a gauge — kept as a running maximum so
-    /// merges stay commutative).
-    pub fn add_store_state(&self, evictions: u64, bytes_on_disk: u64) {
-        self.store_evictions.fetch_add(evictions, Ordering::Relaxed);
-        self.store_bytes.fetch_max(bytes_on_disk, Ordering::Relaxed);
-    }
-
-    /// Folds a frozen snapshot into the live counters — the engine's path
-    /// for absorbing an episode's telemetry delta, and the reduction the
-    /// checkpoint merge reuses. Every addition **saturates** instead of
-    /// wrapping: merging counters from many shards must never overflow a
-    /// `u64` back to a small number and mis-report a run as short.
-    pub fn merge_snapshot(&self, s: &TelemetrySnapshot) {
-        let add = |cell: &AtomicU64, n: u64| {
-            // `fetch_add` wraps; saturate through a CAS loop instead.
-            let mut cur = cell.load(Ordering::Relaxed);
-            loop {
-                let next = cur.saturating_add(n);
-                match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
-            }
-        };
-        add(&self.children_sampled, s.children_sampled);
-        add(&self.children_pruned, s.children_pruned);
-        add(&self.children_trained, s.children_trained);
-        add(&self.children_unbuildable, s.children_unbuildable);
-        add(&self.children_failed, s.children_failed);
-        add(&self.episodes, s.episodes);
-        add(&self.panics_caught, s.panics_caught);
-        add(&self.retries, s.retries);
-        add(&self.quarantined, s.quarantined);
-        add(&self.checkpoints_written, s.checkpoints_written);
-        add(&self.leases_expired, s.leases_expired);
-        add(&self.shards_redispatched, s.shards_redispatched);
-        add(&self.duplicate_results, s.duplicate_results);
-        add(&self.journal_records, s.journal_records);
-        add(&self.rounds_recovered, s.rounds_recovered);
-        add(
-            &self.stale_submissions_rejected,
-            s.stale_submissions_rejected,
-        );
-        add(&self.retries_served, s.retries_served);
-        add(&self.retry_sleep_ms, s.retry_sleep_ms);
-        add(&self.analyzer_calls, s.analyzer_calls);
-        add(&self.train_calls, s.train_calls);
-        add(&self.latency_cache_hits, s.latency_cache_hits);
-        add(&self.latency_cache_misses, s.latency_cache_misses);
-        add(&self.accuracy_cache_hits, s.accuracy_cache_hits);
-        add(&self.accuracy_cache_misses, s.accuracy_cache_misses);
-        add(&self.store_hits, s.store_hits);
-        add(&self.store_misses, s.store_misses);
-        add(&self.store_writes, s.store_writes);
-        add(&self.store_evictions, s.store_evictions);
-        // Bytes on disk is a gauge, not a flow: keep the largest view.
-        self.store_bytes.fetch_max(s.store_bytes, Ordering::Relaxed);
-        add(&self.pass_design_ns, s.pass_design_ns);
-        add(&self.pass_graph_ns, s.pass_graph_ns);
-        add(&self.pass_partition_ns, s.pass_partition_ns);
-        add(&self.pass_schedule_ns, s.pass_schedule_ns);
-        add(&self.pass_sim_ns, s.pass_sim_ns);
-        add(&self.partitions_built, s.partitions_built);
-        add(&self.cross_partition_events, s.cross_partition_events);
-        add(&self.sample_nanos, duration_nanos(s.sample_time));
-        add(&self.latency_nanos, duration_nanos(s.latency_time));
-        add(&self.accuracy_nanos, duration_nanos(s.accuracy_time));
-        add(&self.update_nanos, duration_nanos(s.update_time));
-    }
-
-    /// Starts a monotonic timer attributing its lifetime to `phase`.
-    #[must_use = "the timer records on drop"]
-    pub fn phase_timer(&self, phase: Phase) -> PhaseTimer<'_> {
-        PhaseTimer {
-            telemetry: self,
-            phase,
-            start: Instant::now(),
-        }
-    }
-
-    fn phase_cell(&self, phase: Phase) -> &AtomicU64 {
-        match phase {
-            Phase::Sample => &self.sample_nanos,
-            Phase::Latency => &self.latency_nanos,
-            Phase::Accuracy => &self.accuracy_nanos,
-            Phase::Update => &self.update_nanos,
-        }
-    }
-
-    /// Freezes the current values into a plain snapshot.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        TelemetrySnapshot {
-            children_sampled: load(&self.children_sampled),
-            children_pruned: load(&self.children_pruned),
-            children_trained: load(&self.children_trained),
-            children_unbuildable: load(&self.children_unbuildable),
-            children_failed: load(&self.children_failed),
-            episodes: load(&self.episodes),
-            panics_caught: load(&self.panics_caught),
-            retries: load(&self.retries),
-            quarantined: load(&self.quarantined),
-            checkpoints_written: load(&self.checkpoints_written),
-            leases_expired: load(&self.leases_expired),
-            shards_redispatched: load(&self.shards_redispatched),
-            duplicate_results: load(&self.duplicate_results),
-            journal_records: load(&self.journal_records),
-            rounds_recovered: load(&self.rounds_recovered),
-            stale_submissions_rejected: load(&self.stale_submissions_rejected),
-            retries_served: load(&self.retries_served),
-            retry_sleep_ms: load(&self.retry_sleep_ms),
-            analyzer_calls: load(&self.analyzer_calls),
-            train_calls: load(&self.train_calls),
-            latency_cache_hits: load(&self.latency_cache_hits),
-            latency_cache_misses: load(&self.latency_cache_misses),
-            accuracy_cache_hits: load(&self.accuracy_cache_hits),
-            accuracy_cache_misses: load(&self.accuracy_cache_misses),
-            store_hits: load(&self.store_hits),
-            store_misses: load(&self.store_misses),
-            store_writes: load(&self.store_writes),
-            store_evictions: load(&self.store_evictions),
-            store_bytes: load(&self.store_bytes),
-            pass_design_ns: load(&self.pass_design_ns),
-            pass_graph_ns: load(&self.pass_graph_ns),
-            pass_partition_ns: load(&self.pass_partition_ns),
-            pass_schedule_ns: load(&self.pass_schedule_ns),
-            pass_sim_ns: load(&self.pass_sim_ns),
-            partitions_built: load(&self.partitions_built),
-            cross_partition_events: load(&self.cross_partition_events),
-            sample_time: Duration::from_nanos(load(&self.sample_nanos)),
-            latency_time: Duration::from_nanos(load(&self.latency_nanos)),
-            accuracy_time: Duration::from_nanos(load(&self.accuracy_nanos)),
-            update_time: Duration::from_nanos(load(&self.update_nanos)),
-        }
-    }
-}
-
-/// RAII guard adding its lifetime to one phase's wall time.
-#[derive(Debug)]
-pub struct PhaseTimer<'a> {
-    telemetry: &'a SearchTelemetry,
-    phase: Phase,
-    start: Instant,
-}
-
-impl Drop for PhaseTimer<'_> {
-    fn drop(&mut self) {
-        let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.telemetry
-            .phase_cell(self.phase)
-            .fetch_add(nanos, Ordering::Relaxed);
-    }
-}
-
-/// A frozen view of [`SearchTelemetry`], safe to store in search outcomes
-/// and render into reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TelemetrySnapshot {
-    /// Children sampled from the controller.
-    pub children_sampled: u64,
-    /// Children pruned by the latency spec without training.
-    pub children_pruned: u64,
-    /// Children whose accuracy was evaluated (trained).
-    pub children_trained: u64,
-    /// Children that could not be built at all.
-    pub children_unbuildable: u64,
-    /// Children whose evaluation faulted (panic, exhausted retries,
-    /// quarantine) and were settled into failed trials.
-    pub children_failed: u64,
-    /// Completed episodes (batches).
-    pub episodes: u64,
-    /// Child-evaluation panics caught and isolated.
-    pub panics_caught: u64,
-    /// Transient-fault retries issued by the resilient oracle.
-    pub retries: u64,
-    /// Children quarantined for non-finite accuracies.
-    pub quarantined: u64,
-    /// Checkpoints written to disk during the run.
-    pub checkpoints_written: u64,
-    /// Shard leases that expired without a heartbeat (coordinator-side;
-    /// never persisted into checkpoints).
-    pub leases_expired: u64,
-    /// Shards handed out more than once — speculative straggler copies
-    /// plus expired-lease re-dispatches (coordinator-side).
-    pub shards_redispatched: u64,
-    /// Duplicate shard completions discarded first-wins after the
-    /// byte-compare assertion (coordinator-side).
-    pub duplicate_results: u64,
-    /// Records appended to the coordinator's crash-safe round journal
-    /// (coordinator-side; never persisted into checkpoints).
-    pub journal_records: u64,
-    /// Completed rounds resumed from the round journal on coordinator
-    /// restart instead of being re-run (coordinator-side).
-    pub rounds_recovered: u64,
-    /// Submissions rejected by epoch fencing because they were produced
-    /// under a previous coordinator incarnation (coordinator-side).
-    pub stale_submissions_rejected: u64,
-    /// `Retry` answers: served at the submit-admission cap
-    /// (coordinator-side) or received and honoured (worker-side). Never
-    /// persisted into checkpoints.
-    pub retries_served: u64,
-    /// Milliseconds of backoff attached to those retries, plus
-    /// worker-side connect-retry sleeps. Never persisted into
-    /// checkpoints.
-    pub retry_sleep_ms: u64,
-    /// Uncached FNAS-tool (analyzer) invocations.
-    pub analyzer_calls: u64,
-    /// Accuracy-oracle invocations.
-    pub train_calls: u64,
-    /// Latency-cache hits.
-    pub latency_cache_hits: u64,
-    /// Latency-cache misses.
-    pub latency_cache_misses: u64,
-    /// Accuracy-cache hits.
-    pub accuracy_cache_hits: u64,
-    /// Accuracy-cache misses.
-    pub accuracy_cache_misses: u64,
-    /// Persistent-store (L2) hits: oracle answers served from disk.
-    pub store_hits: u64,
-    /// Persistent-store lookups that found no usable record.
-    pub store_misses: u64,
-    /// Records written through to the persistent store.
-    pub store_writes: u64,
-    /// Records evicted from the persistent store by garbage collection.
-    pub store_evictions: u64,
-    /// Latest known persistent-store size in record bytes (a gauge;
-    /// merged as a maximum, not a sum).
-    pub store_bytes: u64,
-    /// Wall time (ns) in the `design` lowering pass (process-local;
-    /// never persisted into checkpoints).
-    pub pass_design_ns: u64,
-    /// Wall time (ns) in the `taskgraph` lowering pass (process-local).
-    pub pass_graph_ns: u64,
-    /// Wall time (ns) in the `partition` lowering pass (process-local).
-    pub pass_partition_ns: u64,
-    /// Wall time (ns) in the `schedule` lowering pass (process-local).
-    pub pass_schedule_ns: u64,
-    /// Wall time (ns) in the `sim` pass — cycle simulation, either
-    /// backend (process-local).
-    pub pass_sim_ns: u64,
-    /// Regions built by the `partition` pass for the parallel simulator
-    /// (process-local).
-    pub partitions_built: u64,
-    /// Cross-partition availability events settled by the partitioned
-    /// simulator (process-local).
-    pub cross_partition_events: u64,
-    /// Wall time in the (serial) sampling phase.
-    pub sample_time: Duration,
-    /// Wall time in the (parallel) latency phase.
-    pub latency_time: Duration,
-    /// Wall time in the (parallel) accuracy phase.
-    pub accuracy_time: Duration,
-    /// Wall time in the (serial) reward/update phase.
-    pub update_time: Duration,
 }
 
 impl TelemetrySnapshot {
-    /// The pure reduction behind every telemetry merge: element-wise
-    /// **saturating** addition of all counters and wall times. Saturating
-    /// adds are commutative and associative, so folding any number of
-    /// shard snapshots produces the same result in any association order
-    /// (the checkpoint merge still fixes shard order for the float state
-    /// it reduces alongside this).
-    #[must_use]
-    pub fn merge(&self, other: &TelemetrySnapshot) -> TelemetrySnapshot {
-        let dur = |a: Duration, b: Duration| a.checked_add(b).unwrap_or(Duration::MAX);
-        TelemetrySnapshot {
-            children_sampled: self.children_sampled.saturating_add(other.children_sampled),
-            children_pruned: self.children_pruned.saturating_add(other.children_pruned),
-            children_trained: self.children_trained.saturating_add(other.children_trained),
-            children_unbuildable: self
-                .children_unbuildable
-                .saturating_add(other.children_unbuildable),
-            children_failed: self.children_failed.saturating_add(other.children_failed),
-            episodes: self.episodes.saturating_add(other.episodes),
-            panics_caught: self.panics_caught.saturating_add(other.panics_caught),
-            retries: self.retries.saturating_add(other.retries),
-            quarantined: self.quarantined.saturating_add(other.quarantined),
-            checkpoints_written: self
-                .checkpoints_written
-                .saturating_add(other.checkpoints_written),
-            leases_expired: self.leases_expired.saturating_add(other.leases_expired),
-            shards_redispatched: self
-                .shards_redispatched
-                .saturating_add(other.shards_redispatched),
-            duplicate_results: self
-                .duplicate_results
-                .saturating_add(other.duplicate_results),
-            journal_records: self.journal_records.saturating_add(other.journal_records),
-            rounds_recovered: self.rounds_recovered.saturating_add(other.rounds_recovered),
-            stale_submissions_rejected: self
-                .stale_submissions_rejected
-                .saturating_add(other.stale_submissions_rejected),
-            retries_served: self.retries_served.saturating_add(other.retries_served),
-            retry_sleep_ms: self.retry_sleep_ms.saturating_add(other.retry_sleep_ms),
-            analyzer_calls: self.analyzer_calls.saturating_add(other.analyzer_calls),
-            train_calls: self.train_calls.saturating_add(other.train_calls),
-            latency_cache_hits: self
-                .latency_cache_hits
-                .saturating_add(other.latency_cache_hits),
-            latency_cache_misses: self
-                .latency_cache_misses
-                .saturating_add(other.latency_cache_misses),
-            accuracy_cache_hits: self
-                .accuracy_cache_hits
-                .saturating_add(other.accuracy_cache_hits),
-            accuracy_cache_misses: self
-                .accuracy_cache_misses
-                .saturating_add(other.accuracy_cache_misses),
-            store_hits: self.store_hits.saturating_add(other.store_hits),
-            store_misses: self.store_misses.saturating_add(other.store_misses),
-            store_writes: self.store_writes.saturating_add(other.store_writes),
-            store_evictions: self.store_evictions.saturating_add(other.store_evictions),
-            store_bytes: self.store_bytes.max(other.store_bytes),
-            pass_design_ns: self.pass_design_ns.saturating_add(other.pass_design_ns),
-            pass_graph_ns: self.pass_graph_ns.saturating_add(other.pass_graph_ns),
-            pass_partition_ns: self
-                .pass_partition_ns
-                .saturating_add(other.pass_partition_ns),
-            pass_schedule_ns: self.pass_schedule_ns.saturating_add(other.pass_schedule_ns),
-            pass_sim_ns: self.pass_sim_ns.saturating_add(other.pass_sim_ns),
-            partitions_built: self.partitions_built.saturating_add(other.partitions_built),
-            cross_partition_events: self
-                .cross_partition_events
-                .saturating_add(other.cross_partition_events),
-            sample_time: dur(self.sample_time, other.sample_time),
-            latency_time: dur(self.latency_time, other.latency_time),
-            accuracy_time: dur(self.accuracy_time, other.accuracy_time),
-            update_time: dur(self.update_time, other.update_time),
-        }
-    }
-
     /// Latency-cache hit rate over all lookups (`0.0` with no traffic).
     pub fn latency_cache_hit_rate(&self) -> f64 {
         ratio(self.latency_cache_hits, self.latency_cache_misses)
@@ -617,30 +400,15 @@ impl TelemetrySnapshot {
         self.sample_time + self.latency_time + self.accuracy_time + self.update_time
     }
 
-    /// Per-phase `(name, duration)` pairs, in loop order.
-    pub fn phases(&self) -> [(&'static str, Duration); 4] {
-        [
-            ("sample", self.sample_time),
-            ("latency", self.latency_time),
-            ("accuracy", self.accuracy_time),
-            ("update", self.update_time),
-        ]
+    /// The logical counters' raw values in table order — the counter
+    /// words of a checkpoint.
+    pub fn logical_words(&self) -> Vec<u64> {
+        self.rows()
+            .into_iter()
+            .filter(|r| r.scope == Scope::Logical)
+            .map(|r| r.value)
+            .collect()
     }
-
-    /// Per-pass `(name, nanoseconds)` pairs, in lowering-pipeline order.
-    pub fn pass_ns(&self) -> [(&'static str, u64); 5] {
-        [
-            ("design", self.pass_design_ns),
-            ("taskgraph", self.pass_graph_ns),
-            ("partition", self.pass_partition_ns),
-            ("schedule", self.pass_schedule_ns),
-            ("sim", self.pass_sim_ns),
-        ]
-    }
-}
-
-fn duration_nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn ratio(hits: u64, misses: u64) -> f64 {
@@ -652,93 +420,6 @@ fn ratio(hits: u64, misses: u64) -> f64 {
     }
 }
 
-impl fmt::Display for TelemetrySnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "sampled {} | pruned {} ({:.0}%) | trained {} | unbuildable {} | episodes {}",
-            self.children_sampled,
-            self.children_pruned,
-            self.prune_rate() * 100.0,
-            self.children_trained,
-            self.children_unbuildable,
-            self.episodes,
-        )?;
-        writeln!(
-            f,
-            "latency cache {}/{} hits ({:.0}%) | accuracy cache {}/{} hits ({:.0}%)",
-            self.latency_cache_hits,
-            self.latency_cache_hits + self.latency_cache_misses,
-            self.latency_cache_hit_rate() * 100.0,
-            self.accuracy_cache_hits,
-            self.accuracy_cache_hits + self.accuracy_cache_misses,
-            self.accuracy_cache_hit_rate() * 100.0,
-        )?;
-        writeln!(
-            f,
-            "analyzer calls {} | train calls {}",
-            self.analyzer_calls, self.train_calls
-        )?;
-        writeln!(
-            f,
-            "faults: failed {} | panics caught {} | retries {} | quarantined {} | checkpoints {}",
-            self.children_failed,
-            self.panics_caught,
-            self.retries,
-            self.quarantined,
-            self.checkpoints_written,
-        )?;
-        writeln!(
-            f,
-            "coord: leases expired {} | shards re-dispatched {} | duplicate results {}",
-            self.leases_expired, self.shards_redispatched, self.duplicate_results,
-        )?;
-        writeln!(
-            f,
-            "journal: {} records | {} rounds recovered | {} stale submissions rejected",
-            self.journal_records, self.rounds_recovered, self.stale_submissions_rejected,
-        )?;
-        writeln!(
-            f,
-            "backpressure: {} retries served | {} ms retry sleep",
-            self.retries_served, self.retry_sleep_ms,
-        )?;
-        writeln!(
-            f,
-            "store: {}/{} hits ({:.0}%) | writes {} | evictions {} | {} bytes on disk",
-            self.store_hits,
-            self.store_hits + self.store_misses,
-            self.store_hit_rate() * 100.0,
-            self.store_writes,
-            self.store_evictions,
-            self.store_bytes,
-        )?;
-        writeln!(
-            f,
-            "passes: design {:.1?} | taskgraph {:.1?} | partition {:.1?} | schedule {:.1?} | sim {:.1?}",
-            Duration::from_nanos(self.pass_design_ns),
-            Duration::from_nanos(self.pass_graph_ns),
-            Duration::from_nanos(self.pass_partition_ns),
-            Duration::from_nanos(self.pass_schedule_ns),
-            Duration::from_nanos(self.pass_sim_ns),
-        )?;
-        writeln!(
-            f,
-            "partitioned sim: {} partitions built | {} cross-partition events",
-            self.partitions_built, self.cross_partition_events,
-        )?;
-        write!(
-            f,
-            "wall: sample {:.1?} | latency {:.1?} | accuracy {:.1?} | update {:.1?} | total {:.1?}",
-            self.sample_time,
-            self.latency_time,
-            self.accuracy_time,
-            self.update_time,
-            self.total_time(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,39 +427,47 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let t = SearchTelemetry::new();
-        t.add_sampled(10);
-        t.add_pruned();
-        t.add_pruned();
-        t.add_trained();
-        t.add_unbuildable();
-        t.add_episode();
-        t.add_analyzer_calls(5);
-        t.add_train_calls(3);
-        t.add_latency_cache(7, 3);
-        t.add_accuracy_cache(1, 1);
-        t.add_store_cache(9, 1, 4);
-        t.add_store_state(2, 4096);
-        t.add_store_state(0, 1024); // gauge: a smaller view never shrinks it
-        t.add_failed();
-        t.add_panic_caught();
-        t.add_retries(4);
-        t.add_quarantined(2);
-        t.add_checkpoint_written();
-        t.add_lease_expired();
-        t.add_shard_redispatched();
-        t.add_shard_redispatched();
-        t.add_duplicate_result();
-        t.add_journal_record();
-        t.add_journal_record();
-        t.add_journal_record();
-        t.add_rounds_recovered(2);
-        t.add_stale_submission_rejected();
-        t.add_retry_served(50);
-        t.add_retry_served(50);
-        t.add_retry_sleep_ms(100);
-        t.add_pass_nanos(10, 20, 30, 40, 50);
-        t.add_pass_nanos(1, 2, 3, 4, 5);
-        t.add_partition_stats(4, 128);
+        t.children_sampled.add(10);
+        t.children_pruned.add(1);
+        t.children_pruned.add(1);
+        t.children_trained.add(1);
+        t.children_unbuildable.add(1);
+        t.episodes.add(1);
+        t.analyzer_calls.add(5);
+        t.train_calls.add(3);
+        t.latency_cache_hits.add(7);
+        t.latency_cache_misses.add(3);
+        t.accuracy_cache_hits.add(1);
+        t.accuracy_cache_misses.add(1);
+        t.store_hits.add(9);
+        t.store_misses.add(1);
+        t.store_writes.add(4);
+        t.store_evictions.add(2);
+        t.store_bytes.max(4096);
+        t.store_bytes.max(1024); // gauge: a smaller view never shrinks it
+        t.children_failed.add(1);
+        t.panics_caught.add(1);
+        t.retries.add(4);
+        t.quarantined.add(2);
+        t.checkpoints_written.add(1);
+        t.leases_expired.add(1);
+        t.shards_redispatched.add(1);
+        t.shards_redispatched.add(1);
+        t.duplicate_results.add(1);
+        t.journal_records.add(3);
+        t.rounds_recovered.add(2);
+        t.stale_submissions_rejected.add(1);
+        t.retries_served.add(2);
+        t.retry_sleep_ms.add(200);
+        for scale in [10, 1] {
+            t.pass_design_ns.add(scale);
+            t.pass_graph_ns.add(2 * scale);
+            t.pass_partition_ns.add(3 * scale);
+            t.pass_schedule_ns.add(4 * scale);
+            t.pass_sim_ns.add(5 * scale);
+        }
+        t.partitions_built.add(4);
+        t.cross_partition_events.add(128);
         let s = t.snapshot();
         assert_eq!(s.children_sampled, 10);
         assert_eq!(s.children_pruned, 2);
@@ -810,14 +499,14 @@ mod tests {
         assert_eq!(s.store_bytes, 4096);
         assert_eq!(s.store_hit_rate(), 0.9);
         assert_eq!(
-            s.pass_ns(),
             [
-                ("design", 11),
-                ("taskgraph", 22),
-                ("partition", 33),
-                ("schedule", 44),
-                ("sim", 55),
-            ]
+                s.pass_design_ns,
+                s.pass_graph_ns,
+                s.pass_partition_ns,
+                s.pass_schedule_ns,
+                s.pass_sim_ns,
+            ],
+            [11, 22, 33, 44, 55]
         );
         assert_eq!(s.partitions_built, 4);
         assert_eq!(s.cross_partition_events, 128);
@@ -827,16 +516,15 @@ mod tests {
     fn phase_timers_attribute_time() {
         let t = SearchTelemetry::new();
         {
-            let _g = t.phase_timer(Phase::Latency);
+            let _g = t.latency_time.timer();
             std::thread::sleep(Duration::from_millis(5));
         }
         {
-            let _g = t.phase_timer(Phase::Update);
+            let _g = t.update_time.timer();
         }
         let s = t.snapshot();
         assert!(s.latency_time >= Duration::from_millis(5));
         assert!(s.total_time() >= s.latency_time);
-        assert_eq!(s.phases()[1].0, "latency");
     }
 
     #[test]
@@ -846,7 +534,7 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        t.add_sampled(1);
+                        t.children_sampled.add(1);
                     }
                 });
             }
@@ -861,26 +549,6 @@ mod tests {
         assert_eq!(s.latency_cache_hit_rate(), 0.0);
         assert_eq!(s.accuracy_cache_hit_rate(), 0.0);
         assert_eq!(s.total_time(), Duration::ZERO);
-    }
-
-    #[test]
-    fn display_renders_all_sections() {
-        let t = SearchTelemetry::new();
-        t.add_sampled(4);
-        t.add_pruned();
-        let text = t.snapshot().to_string();
-        assert!(text.contains("sampled 4"));
-        assert!(text.contains("pruned 1"));
-        assert!(text.contains("latency cache"));
-        assert!(text.contains("faults:"));
-        assert!(text.contains("coord:"));
-        assert!(text.contains("journal:"));
-        assert!(text.contains("backpressure:"));
-        assert!(text.contains("store:"));
-        assert!(text.contains("bytes on disk"));
-        assert!(text.contains("passes:"));
-        assert!(text.contains("partitioned sim:"));
-        assert!(text.contains("wall:"));
     }
 
     #[test]
@@ -946,7 +614,7 @@ mod tests {
     #[test]
     fn live_merge_snapshot_matches_the_pure_reduction() {
         let t = SearchTelemetry::new();
-        t.add_sampled(u64::MAX - 2);
+        t.children_sampled.add(u64::MAX - 2);
         let delta = TelemetrySnapshot {
             children_sampled: 5,
             children_failed: 1,
@@ -958,13 +626,28 @@ mod tests {
         t.merge_snapshot(&delta);
         assert_eq!(t.snapshot(), expected);
         assert_eq!(t.snapshot().children_sampled, u64::MAX);
+
+        // Every field distinct and non-zero: each sum adds up, and the
+        // `store_bytes` gauge keeps the larger view.
+        let t = SearchTelemetry::new();
+        t.merge_snapshot(&distinct(2));
+        t.merge_snapshot(&distinct(1));
+        let want = TelemetrySnapshot {
+            store_bytes: distinct(2).store_bytes,
+            ..distinct(3)
+        };
+        assert_eq!(t.snapshot(), want);
+        assert_eq!(distinct(2).merge(&distinct(1)), want);
     }
 
     #[test]
     fn restore_counters_preloads_logical_state_only() {
         let t = SearchTelemetry::new();
-        t.add_latency_cache(5, 5);
-        t.add_store_cache(3, 1, 2);
+        t.latency_cache_hits.add(5);
+        t.latency_cache_misses.add(5);
+        t.store_hits.add(3);
+        t.store_misses.add(1);
+        t.store_writes.add(2);
         let snap = TelemetrySnapshot {
             children_sampled: 40,
             children_pruned: 10,
@@ -985,8 +668,8 @@ mod tests {
             ..TelemetrySnapshot::default()
         };
         t.restore_counters(&snap);
-        t.add_sampled(8);
-        t.add_episode();
+        t.children_sampled.add(8);
+        t.episodes.add(1);
         let s = t.snapshot();
         assert_eq!(s.children_sampled, 48);
         assert_eq!(s.episodes, 6);
@@ -1005,5 +688,119 @@ mod tests {
         assert_eq!(s.pass_sim_ns, 0);
         assert_eq!(s.partitions_built, 0);
         assert_eq!(s.cross_partition_events, 0);
+
+        // Every field distinct and non-zero: exactly the 11 logical
+        // counters are restored; every other field keeps this process's
+        // value.
+        let t = SearchTelemetry::new();
+        t.merge_snapshot(&distinct(1));
+        let saved = distinct(2);
+        t.restore_counters(&saved);
+        assert_eq!(
+            t.snapshot(),
+            TelemetrySnapshot {
+                children_sampled: saved.children_sampled,
+                children_pruned: saved.children_pruned,
+                children_trained: saved.children_trained,
+                children_unbuildable: saved.children_unbuildable,
+                children_failed: saved.children_failed,
+                episodes: saved.episodes,
+                panics_caught: saved.panics_caught,
+                retries: saved.retries,
+                quarantined: saved.quarantined,
+                checkpoints_written: saved.checkpoints_written,
+                train_calls: saved.train_calls,
+                ..distinct(1)
+            }
+        );
+    }
+
+    #[test]
+    fn since_logical_words_and_rows_follow_the_table() {
+        // A run's delta: sums subtract (saturating), the gauge keeps its
+        // current reading.
+        let want = TelemetrySnapshot {
+            store_bytes: distinct(3).store_bytes,
+            ..distinct(2)
+        };
+        assert_eq!(distinct(3).since(&distinct(1)), want);
+        let back = distinct(1).since(&distinct(2));
+        assert_eq!(back.store_bytes, distinct(1).store_bytes);
+        assert_eq!(back.children_sampled, 0);
+        assert_eq!(back.update_time, Duration::ZERO);
+
+        // The checkpoint words round-trip the logical projection.
+        let s = distinct(5);
+        let words = s.logical_words();
+        assert_eq!(words.len(), 11);
+        let mut it = words.iter().copied();
+        let read = TelemetrySnapshot::from_logical_words(|| it.next().ok_or(()));
+        assert_eq!(read, Ok(s.logical()));
+        let mut short = words[..10].iter().copied();
+        assert_eq!(
+            TelemetrySnapshot::from_logical_words(|| short.next().ok_or("eof")),
+            Err("eof")
+        );
+
+        // One row per field, labels unique, logical rows in word order.
+        let rows = s.rows();
+        assert_eq!(rows.len(), 40);
+        let labels: std::collections::HashSet<_> = rows.iter().map(|r| r.label).collect();
+        assert_eq!(labels.len(), 40);
+        let logical: Vec<u64> = rows
+            .iter()
+            .filter(|r| r.scope == Scope::Logical)
+            .map(|r| r.value)
+            .collect();
+        assert_eq!(logical, words);
+        let wall = rows.iter().find(|r| r.label == "sample wall").unwrap();
+        assert_eq!((wall.value, wall.unit), (37 * 5, Unit::Ns));
+    }
+
+    /// A snapshot whose 40 fields all differ: field `i` holds `i * k`.
+    fn distinct(k: u64) -> TelemetrySnapshot {
+        let ns = |i: u64| Duration::from_nanos(i * k);
+        TelemetrySnapshot {
+            children_sampled: k,
+            children_pruned: 2 * k,
+            children_trained: 3 * k,
+            children_unbuildable: 4 * k,
+            children_failed: 5 * k,
+            episodes: 6 * k,
+            panics_caught: 7 * k,
+            retries: 8 * k,
+            quarantined: 9 * k,
+            checkpoints_written: 10 * k,
+            leases_expired: 11 * k,
+            shards_redispatched: 12 * k,
+            duplicate_results: 13 * k,
+            journal_records: 14 * k,
+            rounds_recovered: 15 * k,
+            stale_submissions_rejected: 16 * k,
+            retries_served: 17 * k,
+            retry_sleep_ms: 18 * k,
+            analyzer_calls: 19 * k,
+            train_calls: 20 * k,
+            latency_cache_hits: 21 * k,
+            latency_cache_misses: 22 * k,
+            accuracy_cache_hits: 23 * k,
+            accuracy_cache_misses: 24 * k,
+            store_hits: 25 * k,
+            store_misses: 26 * k,
+            store_writes: 27 * k,
+            store_evictions: 28 * k,
+            store_bytes: 29 * k,
+            pass_design_ns: 30 * k,
+            pass_graph_ns: 31 * k,
+            pass_partition_ns: 32 * k,
+            pass_schedule_ns: 33 * k,
+            pass_sim_ns: 34 * k,
+            partitions_built: 35 * k,
+            cross_partition_events: 36 * k,
+            sample_time: ns(37),
+            latency_time: ns(38),
+            accuracy_time: ns(39),
+            update_time: ns(40),
+        }
     }
 }

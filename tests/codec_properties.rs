@@ -176,20 +176,8 @@ fn checkpoint(g: &mut Gen) -> SearchCheckpoint {
             },
             updates: g.below(100),
         },
-        telemetry: TelemetrySnapshot {
-            children_sampled: g.below(100),
-            children_pruned: g.below(100),
-            children_trained: g.below(100),
-            children_unbuildable: g.below(100),
-            children_failed: g.below(100),
-            episodes: g.below(100),
-            panics_caught: g.below(100),
-            retries: g.below(100),
-            quarantined: g.below(100),
-            checkpoints_written: g.below(100),
-            train_calls: g.below(100),
-            ..TelemetrySnapshot::default()
-        },
+        // Every logical counter; the local ones never reach the bytes.
+        telemetry: TelemetrySnapshot::from_logical_words(|| Ok::<_, ()>(g.below(100))).unwrap(),
         trials: (0..g.below(3))
             .map(|index| TrialRecord {
                 index: index as usize,

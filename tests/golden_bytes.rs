@@ -1,20 +1,30 @@
 //! Golden bytes of every framed or hashed format that no other test pins.
 //!
 //! `tests/job_identity.rs` pins the job digests, `tests/store_equivalence.rs`
-//! the cache-key digest, and `results/*.sha256` the checkpoint bytes. The
-//! formats below are pinned here, byte for byte, so that any change to
-//! their layout, checksum or hash fails loudly instead of silently
-//! orphaning journals, store records and progress artifacts in the field.
+//! the cache-key digest, and `results/*.sha256` the checkpoint bytes of
+//! real runs. The formats below are pinned here, byte for byte, so that
+//! any change to their layout, checksum or hash fails loudly instead of
+//! silently orphaning journals, store records, progress artifacts and
+//! checkpoints in the field.
 
+use std::time::Duration;
+
+use fnas::checkpoint::SearchCheckpoint;
+use fnas::cost::SearchCost;
 use fnas::experiment::ExperimentPreset;
+use fnas::job::JobSpec;
 use fnas::persist::encode_report;
-use fnas::search::SearchConfig;
+use fnas::search::{SearchConfig, TrialRecord};
+use fnas_controller::arch::{ChildArch, LayerChoice};
+use fnas_controller::reinforce::TrainerState;
 use fnas_coord::framing::write_frame;
 use fnas_coord::journal::{encode_record, encode_spill};
 use fnas_coord::{config_fingerprint, Request, Response, WalRecord};
+use fnas_exec::TelemetrySnapshot;
 use fnas_fpga::analyzer::AnalyzerReport;
 use fnas_fpga::sched::ReuseStrategy;
 use fnas_fpga::{Cycles, Millis};
+use fnas_nn::optim::AdamState;
 use fnas_serve::JobProgress;
 use fnas_store::{Backend, CacheKey};
 
@@ -188,4 +198,119 @@ fn analyzer_report_payload_is_pinned() {
 fn config_fingerprint_is_pinned() {
     let config = SearchConfig::fnas(ExperimentPreset::mnist().with_trials(24), 10.0).with_seed(77);
     assert_eq!(config_fingerprint(&config, 3, 4, 2), 0x74b4_777a_1b52_9578);
+}
+
+#[test]
+fn checkpoint_counter_layout_is_pinned() {
+    // The 11 logical counters hold distinct values, so a reordered or
+    // added counter word changes the bytes; the process-local counters
+    // are non-zero, so one that leaks into the format shows too.
+    let logical = TelemetrySnapshot {
+        children_sampled: 1,
+        children_pruned: 2,
+        children_trained: 3,
+        children_unbuildable: 4,
+        children_failed: 5,
+        episodes: 6,
+        panics_caught: 7,
+        retries: 8,
+        quarantined: 9,
+        checkpoints_written: 10,
+        train_calls: 11,
+        ..TelemetrySnapshot::default()
+    };
+    let ns = Duration::from_nanos;
+    let ckpt = SearchCheckpoint {
+        shard_index: 1,
+        shard_count: 2,
+        parent_seed: 77,
+        round: 1,
+        job: JobSpec::new("mnist")
+            .with_trials(Some(24))
+            .with_seed(Some(77)),
+        run_seed: 78,
+        next_episode: 6,
+        rng_state: [1, 2, 3, 4],
+        baseline: Some(0.5),
+        cost: SearchCost {
+            training_seconds: 1.5,
+            analyzer_seconds: 0.25,
+        },
+        trainer: TrainerState {
+            params: vec![0.5, -1.0],
+            optimizer: AdamState {
+                t: 6,
+                moments: vec![Some((vec![0.25], vec![0.125])), None],
+            },
+            updates: 6,
+        },
+        telemetry: TelemetrySnapshot {
+            leases_expired: 12,
+            shards_redispatched: 13,
+            duplicate_results: 14,
+            journal_records: 15,
+            rounds_recovered: 16,
+            stale_submissions_rejected: 17,
+            retries_served: 18,
+            retry_sleep_ms: 19,
+            analyzer_calls: 20,
+            latency_cache_hits: 21,
+            latency_cache_misses: 22,
+            accuracy_cache_hits: 23,
+            accuracy_cache_misses: 24,
+            store_hits: 25,
+            store_misses: 26,
+            store_writes: 27,
+            store_evictions: 28,
+            store_bytes: 29,
+            pass_design_ns: 30,
+            pass_graph_ns: 31,
+            pass_partition_ns: 32,
+            pass_schedule_ns: 33,
+            pass_sim_ns: 34,
+            partitions_built: 35,
+            cross_partition_events: 36,
+            sample_time: ns(37),
+            latency_time: ns(38),
+            accuracy_time: ns(39),
+            update_time: ns(40),
+            ..logical
+        },
+        trials: vec![TrialRecord {
+            index: 0,
+            arch: ChildArch::new(vec![LayerChoice {
+                filter_size: 5,
+                num_filters: 9,
+            }])
+            .unwrap(),
+            latency: Some(Millis::new(1.5)),
+            accuracy: Some(0.75),
+            reward: 0.5,
+            trained: true,
+        }],
+    };
+    let bytes = ckpt.to_bytes();
+    assert_eq!(
+        hex(&bytes),
+        "464e4153434b50540400000001000000020000004d0000000000000001000000\
+        00000000220000000000000001000000050000006d6e69737400000118000000\
+        00000000014d00000000000000004e0000000000000006000000000000000100\
+        0000000000000200000000000000030000000000000004000000000000000100\
+        00003f000000000000f83f000000000000d03f02000000000000000000003f00\
+        0080bf060000000000000002000000000000000101000000000000000000803e\
+        0000003e00060000000000000001000000000000000200000000000000030000\
+        0000000000040000000000000005000000000000000600000000000000070000\
+        0000000000080000000000000009000000000000000a000000000000000b0000\
+        0000000000010000000000000000000000000000000100000000000000050000\
+        000900000001000000000000f83f010000403f0000003f01"
+    );
+    // Decoding reads every process-local counter as zero.
+    let decoded = SearchCheckpoint::from_bytes(&bytes).unwrap();
+    assert_eq!(
+        decoded,
+        SearchCheckpoint {
+            telemetry: logical,
+            ..ckpt
+        }
+    );
 }

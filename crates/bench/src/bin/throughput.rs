@@ -1,70 +1,26 @@
-//! Throughput harness: streaming inference *and* the search engine itself.
+//! Throughput harness: streaming inference and the partitioned simulator.
 //!
-//! Part 1 (extension beyond the paper): latency vs streaming throughput.
-//! FNAS optimises single-image latency — the right metric for the paper's
-//! "low-batch real-time" setting. When images *stream*, the pipeline
-//! overlaps them and the steady-state initiation interval (set by the
-//! bottleneck PE) governs throughput instead. This section quantifies both
-//! for a selection of Fig. 8 architectures on 1, 2 and 4 PYNQ boards,
+//! `streaming` (extension beyond the paper): latency vs streaming
+//! throughput. FNAS optimises single-image latency — the right metric for
+//! the paper's "low-batch real-time" setting. When images *stream*, the
+//! pipeline overlaps them and the steady-state initiation interval (set by
+//! the bottleneck PE) governs throughput instead. This section quantifies
+//! both for a selection of Fig. 8 architectures on 1, 2 and 4 PYNQ boards,
 //! validating the analytic interval `max_i PT_i` against the streaming
-//! simulator.
+//! simulator. It writes `results/throughput.csv`, which holds simulated
+//! cycles and latencies only, so it is deterministic.
 //!
-//! Part 2: search-engine throughput. The same Table-1-sized FNAS sweep is
-//! executed sequentially and on 2/4/8 batched workers against an oracle
-//! that models the paper's setting faithfully: child training happens on a
-//! *remote GPU cluster*, so each accuracy evaluation is a blocking
-//! round-trip from the search client's point of view. A worker pool
-//! overlaps those round-trips — the throughput lever the paper itself
-//! pulls by training children on the cluster in parallel. The engine
-//! guarantees bit-identical outcomes for every worker count, so the only
-//! thing that changes is wall time — the table reports the speedup, and
-//! the telemetry table shows where the remaining time goes (cache hit
-//! rates, prune rate, per-phase wall time).
+//! `partition`: the partitioned parallel simulator (DESIGN.md §16) on large
+//! architectures. It asserts that every partition count settles to the
+//! single-threaded report and writes wall times to
+//! `results/throughput_partition.csv`.
 //!
-//! Part 3: chaos mode. The same sweep against an oracle wrapped in the
-//! deterministic fault injector — children crash, time out and diverge at
-//! elevated rates — with the resilient retry/quarantine decorator in
-//! between. The run must still complete every episode with finite rewards,
-//! and the fault telemetry table shows what the runtime absorbed.
-//!
-//! Part 4: the on-disk hardware store (DESIGN.md §14). The same
-//! Table-1-sized sweep runs twice against one `fnas_store::DiskStore`
-//! directory: the cold pass computes and writes every latency record, the
-//! warm pass (a fresh process-equivalent — new searcher, new store handle)
-//! reads them back and skips the design/analyzer pipeline entirely. Both
-//! passes must produce the identical reward trace — the store is
-//! cache-transparent by construction — and the warm pass must show store
-//! hits and strictly fewer design builds.
-//!
-//! Part 5: the partitioned parallel simulator (DESIGN.md §16); Part 6:
-//! job identity under a shared store (DESIGN.md §17) — two differently-
-//! specced jobs against one store directory, proving disjoint artifact
-//! namespaces and a shared (job-agnostic) oracle cache.
-//!
-//! Part 7: multi-tenant serving (DESIGN.md §18). The same two jobs run
-//! twice over real TCP: solo (a one-job server — what `fnas-coord serve`
-//! runs — and a dedicated fleet each, back to back) and multiplexed (one
-//! server, one shared fleet). Both jobs must finish byte-identical to
-//! their solo merges, and the shared fleet's utilization — settled
-//! shards per worker-second — must beat the back-to-back baseline,
-//! because the scheduler keeps workers busy on job B whenever job A has
-//! no assignable shard.
-//!
-//! Run with: `cargo run --release -p fnas-bench --bin throughput`
+//! Run with: `cargo run --release -p fnas-bench --bin throughput [-- streaming|partition]`
 
-use std::net::TcpListener;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use fnas::evaluator::{AccuracyEvaluator, SurrogateCalibration, SurrogateEvaluator};
-use fnas::experiment::ExperimentPreset;
-use fnas::job::JobSpec;
-use fnas::report::{factor, telemetry_table, Table};
-use fnas::resilience::{FaultInjector, FaultPlan, ResilientEvaluator, RetryPolicy};
-use fnas::search::{BatchOptions, SearchConfig, Searcher};
+use fnas::report::{factor, Table};
 use fnas_bench::{emit, fig8_architectures};
-use fnas_controller::arch::ChildArch;
-use fnas_coord::{run_fleet_worker, Clock, LeasePolicy, Response, WallClock, WorkerOptions};
 use fnas_exec::Executor;
 use fnas_fpga::analyzer::pipeline_interval;
 use fnas_fpga::design::PipelineDesign;
@@ -76,8 +32,6 @@ use fnas_fpga::sim::parallel::simulate_design_partitioned;
 use fnas_fpga::sim::{simulate_design, simulate_design_stream};
 use fnas_fpga::taskgraph::TileTaskGraph;
 use fnas_fpga::Cycles;
-use fnas_serve::{client, ServeOptions, Server};
-use fnas_store::Store;
 
 fn streaming_throughput() -> Result<(), Box<dyn std::error::Error>> {
     let mut table = Table::new(vec![
@@ -114,247 +68,7 @@ fn streaming_throughput() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// The paper's accuracy oracle as the search client experiences it: a
-/// blocking round-trip to the GPU cluster that trains the child. Accuracy
-/// comes from the calibrated surrogate (a pure function of the
-/// architecture, so the memo cache applies); the wait models dispatch +
-/// training + result collection.
-#[derive(Debug)]
-struct RemoteTrainingEvaluator {
-    surrogate: SurrogateEvaluator,
-    round_trip: Duration,
-}
-
-impl AccuracyEvaluator for RemoteTrainingEvaluator {
-    fn evaluate(&self, arch: &ChildArch, rng: &mut dyn rand::RngCore) -> fnas::Result<f32> {
-        std::thread::sleep(self.round_trip);
-        self.surrogate.evaluate(arch, rng)
-    }
-
-    fn name(&self) -> &'static str {
-        "remote-training"
-    }
-
-    fn deterministic(&self) -> bool {
-        // The surrogate ignores `rng`, so results are safe to memoise —
-        // and a cache hit legitimately skips the cluster round-trip.
-        true
-    }
-}
-
-fn search_engine_throughput() -> Result<(), Box<dyn std::error::Error>> {
-    // Long enough for the controller to start revisiting architectures:
-    // the later episodes are where the memo caches (and the staged
-    // artifact pipeline behind them) earn their keep.
-    let preset = ExperimentPreset::mnist().with_trials(96);
-    // A mid-range budget: some children are pruned client-side (no
-    // round-trip at all), the rest block on the modelled cluster.
-    let config = SearchConfig::fnas(preset.clone(), 10.0).with_seed(11);
-
-    let mut table = Table::new(vec![
-        "workers",
-        "wall (s)",
-        "speedup",
-        "trials",
-        "trained",
-        "best accuracy",
-    ]);
-    let mut sequential_wall = None;
-    let mut reference: Option<Vec<u32>> = None;
-    let mut last_telemetry = None;
-    for workers in [0usize, 2, 4, 8] {
-        // Fresh searcher per arm: the memo caches must start cold for the
-        // wall-clock comparison to be fair.
-        let evaluator = RemoteTrainingEvaluator {
-            surrogate: SurrogateEvaluator::new(SurrogateCalibration::mnist()),
-            round_trip: Duration::from_millis(40),
-        };
-        let mut searcher = Searcher::with_evaluator(&config, Box::new(evaluator))?;
-        let opts = BatchOptions::sequential()
-            .with_workers(workers)
-            .with_batch_size(8);
-        let start = Instant::now();
-        let out = searcher.run_batched(&config, &opts)?;
-        let wall = start.elapsed().as_secs_f64();
-
-        let trace: Vec<u32> = out.trials().iter().map(|t| t.reward.to_bits()).collect();
-        match &reference {
-            None => reference = Some(trace),
-            Some(reference) => assert_eq!(
-                reference, &trace,
-                "worker count changed the search trajectory"
-            ),
-        }
-
-        let speedup = sequential_wall.map_or(1.0, |seq: f64| seq / wall);
-        if sequential_wall.is_none() {
-            sequential_wall = Some(wall);
-        }
-        table.push_row(vec![
-            if workers == 0 {
-                "sequential".to_string()
-            } else {
-                workers.to_string()
-            },
-            format!("{wall:.2}"),
-            factor(speedup),
-            out.trials().len().to_string(),
-            out.trained_count().to_string(),
-            out.best()
-                .and_then(|b| b.accuracy)
-                .map_or("—".to_string(), |a| format!("{:.2}%", a * 100.0)),
-        ]);
-        last_telemetry = Some(*out.telemetry());
-    }
-    emit("throughput_search", &table)?;
-    if let Some(telemetry) = last_telemetry {
-        // The staged pipeline must actually be earning its keep: a seeded
-        // Table-1-sized sweep revisits architectures, so both memo caches
-        // see hits. CI runs this bin and relies on the assert.
-        assert!(
-            telemetry.latency_cache_hits > 0,
-            "latency cache saw no hits — artifact memoisation is broken"
-        );
-        assert!(
-            telemetry.accuracy_cache_hits > 0,
-            "accuracy cache saw no hits — child memoisation is broken"
-        );
-        emit("throughput_search_telemetry", &telemetry_table(&telemetry))?;
-    }
-    println!(
-        "every arm produced the identical reward trace — worker count only\n\
-         changes wall time, never results."
-    );
-    Ok(())
-}
-
-fn chaos_search() -> Result<(), Box<dyn std::error::Error>> {
-    let preset = ExperimentPreset::mnist().with_trials(32);
-    let config = SearchConfig::fnas(preset, 10.0).with_seed(7);
-
-    // Elevated fault rates: one child in five times out, one in twenty
-    // crashes the worker, one in twenty diverges to NaN. The injector is
-    // seeded from the per-child RNG stream, so the chaos itself is
-    // reproducible.
-    let plan = FaultPlan {
-        panic_rate: 0.05,
-        transient_rate: 0.20,
-        nan_rate: 0.05,
-    };
-    let surrogate = SurrogateEvaluator::new(SurrogateCalibration::mnist());
-    let injector = FaultInjector::new(Box::new(surrogate), plan);
-    let evaluator = ResilientEvaluator::new(Box::new(injector), RetryPolicy::default());
-    let mut searcher = Searcher::with_evaluator(&config, Box::new(evaluator))?;
-    let opts = BatchOptions::sequential()
-        .with_workers(8)
-        .with_batch_size(8);
-
-    // Injected panics are caught and settled by the executor; silence the
-    // default hook so the expected crashes don't spam stderr.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = searcher.run_batched(&config, &opts);
-    std::panic::set_hook(hook);
-    let out = out?;
-
-    assert!(
-        out.trials().iter().all(|t| t.reward.is_finite()),
-        "chaos run leaked a non-finite reward"
-    );
-    emit(
-        "throughput_chaos_telemetry",
-        &telemetry_table(out.telemetry()),
-    )?;
-    println!(
-        "chaos mode: all {} trials settled with finite rewards despite\n\
-         injected crashes, timeouts and divergence (see fault rows above).",
-        out.trials().len()
-    );
-    Ok(())
-}
-
-fn store_sweep() -> Result<(), Box<dyn std::error::Error>> {
-    let preset = ExperimentPreset::mnist().with_trials(96);
-    let config = SearchConfig::fnas(preset, 10.0).with_seed(11);
-    let opts = BatchOptions::sequential()
-        .with_workers(8)
-        .with_batch_size(8);
-
-    let store_dir =
-        std::env::temp_dir().join(format!("fnas-throughput-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-
-    let mut table = Table::new(vec![
-        "pass",
-        "wall (s)",
-        "store hits",
-        "store misses",
-        "store writes",
-        "design builds",
-        "speedup",
-    ]);
-    let mut reference: Option<Vec<u32>> = None;
-    let mut cold = None;
-    for pass in ["cold", "warm"] {
-        // Fresh searcher AND fresh store handle per pass: the warm pass
-        // models a second process arriving at an already-populated store
-        // directory, so nothing in-memory may carry over.
-        let store: Arc<dyn fnas_store::Store> = Arc::new(fnas_store::DiskStore::open(&store_dir)?);
-        let mut searcher = Searcher::surrogate(&config)?;
-        searcher.attach_store(Arc::clone(&store));
-        let start = Instant::now();
-        let out = searcher.run_batched(&config, &opts)?;
-        let wall = start.elapsed().as_secs_f64();
-
-        let trace: Vec<u32> = out.trials().iter().map(|t| t.reward.to_bits()).collect();
-        match &reference {
-            None => reference = Some(trace),
-            Some(reference) => assert_eq!(
-                reference, &trace,
-                "the store changed the search trajectory — it must be cache-transparent"
-            ),
-        }
-
-        let t = *out.telemetry();
-        let builds = searcher.oracle().latency_eval().design_builds();
-        let speedup = match cold {
-            None => 1.0,
-            Some((cold_wall, _, _)) => cold_wall / wall,
-        };
-        table.push_row(vec![
-            pass.to_string(),
-            format!("{wall:.2}"),
-            t.store_hits.to_string(),
-            t.store_misses.to_string(),
-            t.store_writes.to_string(),
-            builds.to_string(),
-            factor(speedup),
-        ]);
-        match cold {
-            None => cold = Some((wall, t, builds)),
-            Some((_, _, cold_builds)) => {
-                // CI runs this bin and relies on these asserts: the warm
-                // pass must actually reuse the cold pass's records.
-                assert!(t.store_hits > 0, "warm pass saw no store hits");
-                assert!(
-                    builds < cold_builds,
-                    "warm pass rebuilt as many designs as the cold pass \
-                     ({builds} vs {cold_builds}) — the L2 store is not \
-                     short-circuiting"
-                );
-            }
-        }
-    }
-    emit("throughput_store", &table)?;
-    let _ = std::fs::remove_dir_all(&store_dir);
-    println!(
-        "both passes produced the identical reward trace — the on-disk store\n\
-         only changes wall time, never results."
-    );
-    Ok(())
-}
-
-/// Part 5: the partitioned parallel simulator (DESIGN.md §16). Large
+/// The partitioned parallel simulator (DESIGN.md §16). Large
 /// (deep, wide) architectures are simulated with the single-threaded
 /// event-heap backend and with the partitioned backend at 2, 4 and 8
 /// regions. Every arm must settle to a **byte-identical** report — the
@@ -456,287 +170,22 @@ fn partition_sweep() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Part 6: job identity under a shared store (DESIGN.md §17). Two jobs
-/// that differ only in their latency spec `rL` resolve through
-/// [`JobSpec::resolve`] and run against ONE store directory. The store
-/// keys them apart where it must — each job's artifacts live under its
-/// own `jobs/<digest>/` namespace — and shares what it may: oracle
-/// records are keyed by `CacheKey` (arch × device × backend, deliberately
-/// job-agnostic), so the second job warm-starts from latencies the first
-/// job computed.
-fn jobs_shared_store() -> Result<(), Box<dyn std::error::Error>> {
-    let job_a = JobSpec::new("mnist")
-        .with_required_ms(Some(10.0))
-        .with_trials(Some(48))
-        .with_seed(Some(11));
-    let job_b = job_a.clone().with_required_ms(Some(6.0));
-    assert_ne!(
-        job_a.job_digest(),
-        job_b.job_digest(),
-        "differently-specced jobs must have distinct digests"
-    );
-
-    let store_dir =
-        std::env::temp_dir().join(format!("fnas-throughput-jobs-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    let opts = BatchOptions::sequential()
-        .with_workers(8)
-        .with_batch_size(8);
-
-    let mut table = Table::new(vec![
-        "job",
-        "digest",
-        "wall (s)",
-        "store hits",
-        "store writes",
-        "best accuracy",
-    ]);
-    let mut second_job_hits = None;
-    for (tag, job) in [("A", &job_a), ("B", &job_b)] {
-        let config = job.resolve()?;
-        let store: Arc<dyn fnas_store::Store> = Arc::new(fnas_store::DiskStore::open(&store_dir)?);
-        let mut searcher = Searcher::surrogate(&config)?;
-        searcher.attach_store(Arc::clone(&store));
-        let start = Instant::now();
-        let out = searcher.run_batched(&config, &opts)?;
-        let wall = start.elapsed().as_secs_f64();
-
-        // Each job publishes its outcome into its own namespace; the name
-        // collides on purpose — the digest keeps the jobs apart.
-        let summary = format!(
-            "job {:#018x} ({job}): {} trials, best reward bits {:?}",
-            job.job_digest(),
-            out.trials().len(),
-            out.best().map(|b| b.reward.to_bits())
-        );
-        store.put_artifact(job.job_digest(), "summary.txt", summary.as_bytes());
-
-        let t = *out.telemetry();
-        if tag == "B" {
-            second_job_hits = Some(t.store_hits);
-        }
-        table.push_row(vec![
-            format!("{tag} ({job})"),
-            format!("{:#018x}", job.job_digest()),
-            format!("{wall:.2}"),
-            t.store_hits.to_string(),
-            t.store_writes.to_string(),
-            out.best()
-                .and_then(|b| b.accuracy)
-                .map_or("—".to_string(), |a| format!("{:.2}%", a * 100.0)),
-        ]);
-    }
-    emit("throughput_jobs", &table)?;
-
-    // CI runs this bin and relies on these asserts: the namespaces must be
-    // disjoint (same artifact name, different digests, both survive) and
-    // the oracle cache must be shared (job B re-asks questions job A
-    // already answered — the controllers start from the same seed, so the
-    // early architectures coincide).
-    let disk = fnas_store::DiskStore::open(&store_dir)?;
-    for job in [&job_a, &job_b] {
-        assert_eq!(
-            disk.list_artifacts(job.job_digest())?,
-            vec!["summary.txt".to_string()],
-            "job {:#018x} lost or leaked artifacts",
-            job.job_digest()
-        );
-    }
-    assert!(
-        second_job_hits.unwrap_or(0) > 0,
-        "job B saw no store hits — the oracle cache is not shared across jobs"
-    );
-    let _ = std::fs::remove_dir_all(&store_dir);
-    println!(
-        "two jobs, one store: artifacts stayed namespaced per digest while\n\
-         the second job warm-started from the first job's oracle records."
-    );
-    Ok(())
-}
-
-/// Part 7: multi-tenant serving (DESIGN.md §18). Runs two
-/// differently-specced jobs solo (a one-job server and a dedicated fleet
-/// each, back to back) and then multiplexed over one server with one
-/// shared fleet, all over real TCP. Byte identity per job is asserted;
-/// the table reports wall time and fleet utilization (settled shards per
-/// worker-second) for each arm.
-fn serve_sweep() -> Result<(), Box<dyn std::error::Error>> {
-    const WORKERS: usize = 3;
-    const SHARDS: u32 = 2;
-    const ROUNDS: u64 = 2;
-    const BATCH: usize = 3;
-    const LINGER_MS: u64 = 300;
-
-    let cfg_a = SearchConfig::fnas(ExperimentPreset::mnist().with_trials(12), 10.0).with_seed(77);
-    let cfg_b = SearchConfig::fnas(ExperimentPreset::mnist().with_trials(12), 9.0).with_seed(41);
-    let dir = std::env::temp_dir().join(format!("fnas-throughput-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir)?;
-    let run_opts = || {
-        BatchOptions::default()
-            .with_batch_size(BATCH)
-            .with_workers(0)
-    };
-
-    // One arm: a server expecting `cfgs`, fed by WORKERS fleet workers.
-    // Returns the wall time, the shards run and each job's merged
-    // checkpoint. With more workers than shards, a one-job arm always
-    // has someone idle — the slack the two-job arm fills.
-    type Arm = (f64, u64, Vec<Vec<u8>>);
-    let run_arm = |cfgs: &[&SearchConfig], tag: &str| -> Result<Arm, Box<dyn std::error::Error>> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?.to_string();
-        let serve_opts = ServeOptions {
-            max_jobs: 4,
-            expect_jobs: cfgs.len(),
-            quantum: 1,
-            backoff_ms: 20,
-            linger_ms: LINGER_MS,
-            lease: LeasePolicy::with_ttl_ms(5_000),
-            max_buffered_rounds: 2,
-        };
-        let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-        let server = Arc::new(Server::new(&dir.join(tag), serve_opts, clock)?);
-        let start = Instant::now();
-        let serve = {
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || server.run(listener))
-        };
-        let mut jobs = Vec::new();
-        for cfg in cfgs {
-            match client::submit_job(&addr, cfg.job(), BATCH as u32, SHARDS, ROUNDS)? {
-                Response::JobAccepted { job } => jobs.push(job),
-                other => return Err(format!("job not accepted: {other:?}").into()),
-            }
-        }
-        let workers: Vec<_> = (0..WORKERS)
-            .map(|i| {
-                let mut w = WorkerOptions::new(
-                    addr.clone(),
-                    format!("{tag}-{i}"),
-                    dir.join(format!("{tag}-{i}")),
-                );
-                w.heartbeat_ms = 50;
-                std::thread::spawn(move || run_fleet_worker(&run_opts(), &w))
-            })
-            .collect();
-        serve.join().expect("serve thread")?;
-        let wall = start.elapsed().as_secs_f64();
-        let mut shards_run = 0;
-        for handle in workers {
-            shards_run += handle.join().expect("worker thread")?.shards_run;
-        }
-        let mut merged = Vec::new();
-        for job in jobs {
-            merged.push(
-                server
-                    .store()
-                    .get_artifact(job, "merged.ckpt")
-                    .ok_or_else(|| format!("job {job:#018x} published no merged checkpoint"))?,
-            );
-        }
-        Ok((wall, shards_run, merged))
-    };
-    let (wall_a, shards_a, ref_a) = run_arm(&[&cfg_a], "solo-a")?;
-    let (wall_b, shards_b, ref_b) = run_arm(&[&cfg_b], "solo-b")?;
-    let (serve_wall, serve_shards, merged) = run_arm(&[&cfg_a, &cfg_b], "fleet")?;
-
-    // CI runs this bin and relies on these asserts: multi-tenancy may
-    // never change either job's bytes, and multiplexing must beat the
-    // back-to-back baseline on fleet utilization.
-    for (merged, reference) in merged.iter().zip(ref_a.iter().chain(&ref_b)) {
-        assert_eq!(
-            merged, reference,
-            "a job diverged from its solo run under multi-tenancy"
-        );
-    }
-    let util = |shards: u64, wall: f64| shards as f64 / (WORKERS as f64 * wall);
-    let solo_util = util(shards_a + shards_b, wall_a + wall_b);
-    let serve_util = util(serve_shards, serve_wall);
-    assert!(
-        serve_util > solo_util,
-        "shared fleet was not better utilised: serve {serve_util:.3} vs solo {solo_util:.3} \
-         shards/worker-s"
-    );
-
-    let mut table = Table::new(vec![
-        "arm",
-        "jobs",
-        "wall (s)",
-        "shards run",
-        "util (shards/worker-s)",
-    ]);
-    let mut row = |arm: &str, jobs: &str, wall: f64, shards: u64| {
-        table.push_row(vec![
-            arm.to_string(),
-            jobs.to_string(),
-            format!("{wall:.2}"),
-            shards.to_string(),
-            format!("{:.3}", util(shards, wall)),
-        ]);
-    };
-    row("solo A", "1", wall_a, shards_a);
-    row("solo B", "1", wall_b, shards_b);
-    row(
-        "solo back-to-back",
-        "2",
-        wall_a + wall_b,
-        shards_a + shards_b,
-    );
-    row("serve, one fleet", "2", serve_wall, serve_shards);
-    emit("throughput_serve", &table)?;
-    let _ = std::fs::remove_dir_all(&dir);
-    println!(
-        "both jobs finished byte-identical to their solo runs; the shared\n\
-         fleet was {:.2}x better utilised than running them back to back.",
-        serve_util / solo_util
-    );
-    Ok(())
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // With section names as arguments, run only those sections (the CI
-    // pipeline job runs `partition` alone); with none, run everything.
+    // With section names as arguments, run only those sections (CI runs
+    // each in its own job); with none, run both.
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let wants = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
-    if let Some(unknown) = args.iter().find(|a| {
-        ![
-            "streaming",
-            "search",
-            "chaos",
-            "store",
-            "partition",
-            "jobs",
-            "serve",
-        ]
-        .contains(&a.as_str())
-    }) {
-        return Err(format!(
-            "unknown section `{unknown}` (expected streaming, search, chaos, store, \
-             partition, jobs, serve)"
-        )
-        .into());
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| !["streaming", "partition"].contains(&a.as_str()))
+    {
+        return Err(format!("unknown section `{unknown}` (expected streaming, partition)").into());
     }
+    let wants = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
     if wants("streaming") {
         streaming_throughput()?;
     }
-    if wants("search") {
-        search_engine_throughput()?;
-    }
-    if wants("chaos") {
-        chaos_search()?;
-    }
-    if wants("store") {
-        store_sweep()?;
-    }
     if wants("partition") {
         partition_sweep()?;
-    }
-    if wants("jobs") {
-        jobs_shared_store()?;
-    }
-    if wants("serve") {
-        serve_sweep()?;
     }
     Ok(())
 }

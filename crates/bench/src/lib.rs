@@ -2,8 +2,8 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the FNAS
 //! paper (see DESIGN.md §4 for the index), printing a markdown table and
-//! writing a CSV under `results/`. The Criterion benches in `benches/`
-//! measure the performance of the underlying components.
+//! writing a CSV under `results/`. Performance is measured by `fnasbench`
+//! (`BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,10 +8,6 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
-use std::time::Duration;
-
-use fnas_exec::telemetry::Unit;
-use fnas_exec::TelemetrySnapshot;
 
 use crate::Result;
 
@@ -140,51 +136,6 @@ pub fn factor(x: f64) -> String {
     format!("{x:.2}x")
 }
 
-/// Renders a [`TelemetrySnapshot`] as a two-column metric table — the
-/// format the throughput bench and the examples print after a search: one
-/// row per counter in table order (nanosecond counters in milliseconds),
-/// then the derived rates and the total wall time.
-///
-/// # Examples
-///
-/// ```
-/// use fnas::report::telemetry_table;
-/// use fnas_exec::TelemetrySnapshot;
-///
-/// let md = telemetry_table(&TelemetrySnapshot::default()).to_markdown();
-/// assert!(md.contains("children sampled"));
-/// assert!(md.contains("latency cache hit rate"));
-/// ```
-pub fn telemetry_table(t: &TelemetrySnapshot) -> Table {
-    let ms = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1e3);
-    let mut table = Table::new(vec!["metric", "value"]);
-    for row in t.rows() {
-        table.push_row(match row.unit {
-            Unit::Count => vec![row.label.to_string(), row.value.to_string()],
-            Unit::Ns => vec![
-                format!("{} (ms)", row.label),
-                ms(Duration::from_nanos(row.value)),
-            ],
-        });
-    }
-    for (metric, value) in [
-        ("prune rate", pct(t.prune_rate() as f32)),
-        (
-            "latency cache hit rate",
-            pct(t.latency_cache_hit_rate() as f32),
-        ),
-        (
-            "accuracy cache hit rate",
-            pct(t.accuracy_cache_hit_rate() as f32),
-        ),
-        ("store hit rate", pct(t.store_hit_rate() as f32)),
-        ("total wall (ms)", ms(t.total_time())),
-    ] {
-        table.push_row(vec![metric.to_string(), value]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,49 +184,5 @@ mod tests {
     fn formatters() {
         assert_eq!(pct(0.9942), "99.42%");
         assert_eq!(factor(11.131), "11.13x");
-    }
-
-    #[test]
-    fn telemetry_table_has_counter_rate_and_wall_rows() {
-        let snap = TelemetrySnapshot {
-            children_sampled: 10,
-            children_pruned: 4,
-            children_failed: 1,
-            panics_caught: 1,
-            retries: 3,
-            quarantined: 2,
-            checkpoints_written: 5,
-            latency_cache_hits: 3,
-            latency_cache_misses: 1,
-            store_hits: 9,
-            store_misses: 1,
-            store_writes: 2,
-            store_evictions: 1,
-            store_bytes: 4096,
-            pass_partition_ns: 2_500_000,
-            partitions_built: 4,
-            cross_partition_events: 96,
-            ..Default::default()
-        };
-        let t = telemetry_table(&snap);
-        assert_eq!(t.len(), 45);
-        let md = t.to_markdown();
-        assert!(md.contains("| children sampled | 10 |"));
-        assert!(md.contains("| prune rate | 40.00% |"));
-        assert!(md.contains("| latency cache hit rate | 75.00% |"));
-        assert!(md.contains("| children failed | 1 |"));
-        assert!(md.contains("| panics caught | 1 |"));
-        assert!(md.contains("| oracle retries | 3 |"));
-        assert!(md.contains("| quarantined accuracies | 2 |"));
-        assert!(md.contains("| checkpoints written | 5 |"));
-        assert!(md.contains("| store hit rate | 90.00% |"));
-        assert!(md.contains("| store writes | 2 |"));
-        assert!(md.contains("| store evictions | 1 |"));
-        assert!(md.contains("| store bytes on disk | 4096 |"));
-        assert!(md.contains("| pass partition (ms) | 2.5 |"));
-        assert!(md.contains("| pass sim (ms) | 0.0 |"));
-        assert!(md.contains("| partitions built | 4 |"));
-        assert!(md.contains("| cross-partition events | 96 |"));
-        assert!(md.contains("total wall (ms)"));
     }
 }

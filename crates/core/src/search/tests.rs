@@ -208,38 +208,45 @@ fn worker_count_does_not_change_batched_results() {
 
 #[test]
 fn batched_runs_all_trials_and_reports_telemetry() {
-    let cfg = SearchConfig::fnas(quick_preset().with_trials(20), 5.0).with_seed(3);
+    // The second input is long enough for the controller to revisit
+    // architectures, so both memo caches must see hits; the first is not.
     let opts = BatchOptions::sequential().with_batch_size(8);
-    let out = Searcher::surrogate(&cfg)
-        .unwrap()
-        .run_batched(&cfg, &opts)
-        .unwrap();
-    assert_eq!(out.trials().len(), 20);
-    // Indices are contiguous exploration order.
-    for (i, t) in out.trials().iter().enumerate() {
-        assert_eq!(t.index, i);
+    for (trials, required_ms, seed, revisits) in [(20, 5.0, 3, false), (96, 10.0, 11, true)] {
+        let cfg =
+            SearchConfig::fnas(quick_preset().with_trials(trials), required_ms).with_seed(seed);
+        let out = Searcher::surrogate(&cfg)
+            .unwrap()
+            .run_batched(&cfg, &opts)
+            .unwrap();
+        assert_eq!(out.trials().len(), trials);
+        // Indices are contiguous exploration order.
+        for (i, t) in out.trials().iter().enumerate() {
+            assert_eq!(t.index, i);
+        }
+        let t = out.telemetry();
+        assert_eq!(t.children_sampled, trials as u64);
+        assert_eq!(t.episodes, trials.div_ceil(8) as u64);
+        assert_eq!(
+            t.children_pruned + t.children_trained + t.children_unbuildable,
+            trials as u64
+        );
+        assert_eq!(t.children_pruned, out.pruned_count() as u64);
+        assert_eq!(t.children_trained, out.trained_count() as u64);
+        // The surrogate is deterministic, so revisited architectures hit
+        // the accuracy cache; every lookup is counted one way or the other.
+        assert_eq!(
+            t.accuracy_cache_hits + t.accuracy_cache_misses,
+            t.train_calls
+        );
+        // One latency lookup per child, whether the memo or the pool answers.
+        assert_eq!(
+            t.latency_cache_hits + t.latency_cache_misses,
+            t.children_sampled
+        );
+        assert!(t.latency_cache_misses > 0);
+        assert_eq!(t.latency_cache_hits > 0, revisits, "{trials} trials");
+        assert_eq!(t.accuracy_cache_hits > 0, revisits, "{trials} trials");
     }
-    let t = out.telemetry();
-    assert_eq!(t.children_sampled, 20);
-    assert_eq!(t.episodes, 3, "20 trials / batch of 8 = 3 episodes");
-    assert_eq!(
-        t.children_pruned + t.children_trained + t.children_unbuildable,
-        20
-    );
-    assert_eq!(t.children_pruned, out.pruned_count() as u64);
-    assert_eq!(t.children_trained, out.trained_count() as u64);
-    // The surrogate is deterministic, so revisited architectures hit
-    // the accuracy cache; every lookup is counted one way or the other.
-    assert_eq!(
-        t.accuracy_cache_hits + t.accuracy_cache_misses,
-        t.train_calls
-    );
-    // One latency lookup per child, whether the memo or the pool answers.
-    assert_eq!(
-        t.latency_cache_hits + t.latency_cache_misses,
-        t.children_sampled
-    );
-    assert!(t.latency_cache_misses > 0);
 }
 
 #[test]

@@ -370,36 +370,6 @@ impl SearchTelemetry {
 }
 
 impl TelemetrySnapshot {
-    /// Latency-cache hit rate over all lookups (`0.0` with no traffic).
-    pub fn latency_cache_hit_rate(&self) -> f64 {
-        ratio(self.latency_cache_hits, self.latency_cache_misses)
-    }
-
-    /// Accuracy-cache hit rate over all lookups (`0.0` with no traffic).
-    pub fn accuracy_cache_hit_rate(&self) -> f64 {
-        ratio(self.accuracy_cache_hits, self.accuracy_cache_misses)
-    }
-
-    /// Persistent-store hit rate over all L2 lookups (`0.0` with no
-    /// traffic, including when the store is disabled).
-    pub fn store_hit_rate(&self) -> f64 {
-        ratio(self.store_hits, self.store_misses)
-    }
-
-    /// Fraction of sampled children pruned without training.
-    pub fn prune_rate(&self) -> f64 {
-        if self.children_sampled == 0 {
-            0.0
-        } else {
-            self.children_pruned as f64 / self.children_sampled as f64
-        }
-    }
-
-    /// Total attributed wall time across all phases.
-    pub fn total_time(&self) -> Duration {
-        self.sample_time + self.latency_time + self.accuracy_time + self.update_time
-    }
-
     /// The logical counters' raw values in table order — the counter
     /// words of a checkpoint.
     pub fn logical_words(&self) -> Vec<u64> {
@@ -408,15 +378,6 @@ impl TelemetrySnapshot {
             .filter(|r| r.scope == Scope::Logical)
             .map(|r| r.value)
             .collect()
-    }
-}
-
-fn ratio(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
     }
 }
 
@@ -489,15 +450,15 @@ mod tests {
         assert_eq!(s.retry_sleep_ms, 200);
         assert_eq!(s.analyzer_calls, 5);
         assert_eq!(s.train_calls, 3);
-        assert_eq!(s.prune_rate(), 0.2);
-        assert_eq!(s.latency_cache_hit_rate(), 0.7);
-        assert_eq!(s.accuracy_cache_hit_rate(), 0.5);
+        assert_eq!(s.latency_cache_hits, 7);
+        assert_eq!(s.latency_cache_misses, 3);
+        assert_eq!(s.accuracy_cache_hits, 1);
+        assert_eq!(s.accuracy_cache_misses, 1);
         assert_eq!(s.store_hits, 9);
         assert_eq!(s.store_misses, 1);
         assert_eq!(s.store_writes, 4);
         assert_eq!(s.store_evictions, 2);
         assert_eq!(s.store_bytes, 4096);
-        assert_eq!(s.store_hit_rate(), 0.9);
         assert_eq!(
             [
                 s.pass_design_ns,
@@ -524,7 +485,6 @@ mod tests {
         }
         let s = t.snapshot();
         assert!(s.latency_time >= Duration::from_millis(5));
-        assert!(s.total_time() >= s.latency_time);
     }
 
     #[test]
@@ -540,15 +500,6 @@ mod tests {
             }
         });
         assert_eq!(t.snapshot().children_sampled, 8000);
-    }
-
-    #[test]
-    fn empty_rates_are_zero() {
-        let s = TelemetrySnapshot::default();
-        assert_eq!(s.prune_rate(), 0.0);
-        assert_eq!(s.latency_cache_hit_rate(), 0.0);
-        assert_eq!(s.accuracy_cache_hit_rate(), 0.0);
-        assert_eq!(s.total_time(), Duration::ZERO);
     }
 
     #[test]

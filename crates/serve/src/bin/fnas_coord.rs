@@ -171,21 +171,21 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
         .ok_or_else(|| format!("job {job:#018x} was cancelled before it finished"))?;
     let out = cli.dir.join("merged.ckpt");
     merged.save(&out).map_err(|e| e.to_string())?;
-    let t = coordinator.telemetry().snapshot();
+    let counters: Vec<String> = coordinator
+        .telemetry()
+        .snapshot()
+        .rows()
+        .into_iter()
+        .filter(|r| r.value != 0)
+        .map(|r| format!("{} {}", r.label, r.value))
+        .collect();
     Ok(format!(
-        "coordinated {} shards x {} rounds: {} trials, wrote {}\n\
-         coord: leases expired {} | shards re-dispatched {} | duplicate results {}\n\
-         journal: {} records | {} rounds recovered | {} stale submissions rejected",
+        "coordinated {} shards x {} rounds: {} trials, wrote {}\ncoord: {}",
         cli.shards,
         cli.rounds,
         merged.trials.len(),
         out.display(),
-        t.leases_expired,
-        t.shards_redispatched,
-        t.duplicate_results,
-        t.journal_records,
-        t.rounds_recovered,
-        t.stale_submissions_rejected,
+        counters.join(" | ")
     ))
 }
 

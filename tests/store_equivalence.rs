@@ -11,7 +11,8 @@
 //!   [`DiskStore`] handle on an already-populated directory (the moral
 //!   equivalent of a second process on a shared filesystem) serves ≥ 90%
 //!   of its lookups from the store and does strictly less design-build
-//!   and simulator work than the cold pass.
+//!   and simulator work than the cold pass. Another job (another job
+//!   digest) on the same directory hits the first job's records too.
 //! * **Key stability** — the canonical key codec is injective, payloads
 //!   round-trip through a real store directory byte-for-byte, and one
 //!   canonical key digest is pinned to a literal so any silent change to
@@ -155,6 +156,25 @@ fn a_second_process_on_a_warm_store_mostly_hits_and_computes_less() {
     );
     // The engine's telemetry must agree that the store was the source.
     assert!(warm_out.telemetry().store_hits > 0, "telemetry saw no hits");
+
+    // Another job (rL 4 ms, so another job digest) on the same directory:
+    // oracle records are keyed by architecture and platform, not by job,
+    // so it reuses the first job's records without changing its results.
+    let other = SearchConfig::fnas(ExperimentPreset::mnist().with_trials(16), 4.0).with_seed(48);
+    assert_ne!(other.job().job_digest(), config.job().job_digest());
+    let other_store: Arc<dyn Store> = Arc::new(DiskStore::open(&dir).expect("store reopens"));
+    let mut other_searcher = Searcher::surrogate(&other).expect("constructible");
+    other_searcher.attach_store(Arc::clone(&other_store));
+    let other_out = other_searcher.run_batched(&other, &opts).expect("runs");
+    assert!(
+        other_store.counters().hits > 0,
+        "another job saw no hits on the first job's store"
+    );
+    assert_eq!(
+        fingerprint(&other_out),
+        run(&other, 2, None),
+        "the shared store changed another job's results"
+    );
     std::fs::remove_dir_all(dir).expect("cleanup");
 }
 

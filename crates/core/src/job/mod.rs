@@ -42,12 +42,17 @@ use crate::search::SearchConfig;
 use crate::{FnasError, Result};
 
 /// Which latency oracle answers the job's hardware questions.
+///
+/// The search prices every child with the analyzer, so only
+/// [`OracleBackend::Analytic`] resolves; [`OracleBackend::Simulated`]
+/// keeps its codec tag so that encoded specs and their digests stay
+/// stable, and [`JobSpec::resolve`] refuses it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OracleBackend {
     /// The closed-form FNAS-Analyzer (Eq. 5) — the default.
     #[default]
     Analytic,
-    /// The cycle-accurate simulator.
+    /// The cycle-accurate simulator; no search runs on it.
     Simulated,
 }
 
@@ -237,8 +242,17 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// [`FnasError::InvalidConfig`] for an unknown preset or device name.
+    /// [`FnasError::InvalidConfig`] for an unknown preset or device name,
+    /// or for the [`OracleBackend::Simulated`] backend, which no search
+    /// runs on.
     pub fn resolve(&self) -> Result<SearchConfig> {
+        if self.backend != OracleBackend::Analytic {
+            return Err(FnasError::InvalidConfig {
+                what: "the simulated oracle backend cannot run a search; \
+                       children are priced by the analyzer"
+                    .to_string(),
+            });
+        }
         let mut preset = preset_by_name(&self.preset)?;
         if let Some(t) = self.trials {
             preset = preset.with_trials(t);
@@ -430,6 +444,14 @@ mod tests {
             .with_device(Some("asic".to_string()))
             .resolve()
             .is_err());
+        // A job naming the simulated oracle would be searched with the
+        // analyzer, so it is refused rather than run under a false name.
+        assert!(matches!(
+            spec.clone()
+                .with_backend(OracleBackend::Simulated)
+                .resolve(),
+            Err(FnasError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! own lock-striped [`ShardedCache`] with single-flight dedup, so the
 //! batch engine's workers share one evaluator without serialising on a
 //! single map lock and without ever rebuilding a stage another consumer
-//! already produced. Backends are selected per call through the
-//! [`LatencyModel`] trait ([`Analytic`] / [`Simulated`] /
-//! [`PartitionedSim`]).
+//! already produced. [`LatencyEvaluator::latency`] prices a child with
+//! the analyzer, [`LatencyEvaluator::simulated_latency`] with the cycle
+//! simulator.
 //!
-//! The evaluator also meters the pass pipeline: analyzer calls, per-pass
-//! wall time (design / taskgraph / partition / schedule / sim) and the
-//! partitioned simulator's region statistics accumulate in its own
+//! The evaluator also meters the lowering: analyzer calls and per-stage
+//! wall time (design / taskgraph / schedule / sim) accumulate in its own
 //! [`SearchTelemetry`] meters, read with the cache and store traffic
 //! through [`LatencyEvaluator::meters`].
 
@@ -25,16 +24,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fnas_controller::arch::ChildArch;
-use fnas_exec::{Executor, SearchTelemetry, ShardedCache, TelemetrySnapshot};
+use fnas_exec::{SearchTelemetry, ShardedCache, TelemetrySnapshot};
 use fnas_fpga::analyzer::AnalyzerReport;
-use fnas_fpga::artifacts::{HwArtifacts, LatencyModel};
-use fnas_fpga::design::PipelineDesign;
+use fnas_fpga::artifacts::{canonical_pipeline_fingerprint, HwArtifacts};
 use fnas_fpga::device::{FpgaCluster, FpgaDevice};
-use fnas_fpga::passes::{canonical_pipeline_fingerprint, DEFAULT_PARTITIONS};
 use fnas_fpga::Millis;
 use fnas_store::{digest128, Backend, CacheKey, NullStore, Store, StoreCounters};
-
-pub use fnas_fpga::artifacts::{Analytic, PartitionedSim, Simulated};
 
 use crate::deploy::DeploymentReport;
 use crate::mapping::arch_to_network;
@@ -86,11 +81,11 @@ pub struct LatencyEvaluator {
     store: Arc<dyn Store>,
     /// Digest of the cluster's canonical encoding, fixed at construction.
     device_digest: u128,
-    /// Canonical pass-pipeline fingerprint, fixed at construction.
+    /// Canonical pipeline fingerprint, fixed at construction.
     pipeline_digest: u64,
     design_builds: AtomicU64,
     sim_calls: AtomicU64,
-    /// Analyzer calls, pass wall times and partition statistics.
+    /// Analyzer calls and stage wall times.
     meters: SearchTelemetry,
 }
 
@@ -161,12 +156,11 @@ impl LatencyEvaluator {
     }
 
     /// Claims the artifact's one-shot lowering timings (taskgraph /
-    /// partition / schedule) into the pass meters; a no-op when another
-    /// path already claimed them.
+    /// schedule) into the stage meters; a no-op when another path already
+    /// claimed them.
     fn charge_lowering(&self, artifacts: &HwArtifacts) {
         if let Some(t) = artifacts.claim_lowering_timings() {
             self.meters.pass_graph_ns.add(t.graph_ns);
-            self.meters.pass_partition_ns.add(t.partition_ns);
             self.meters.pass_schedule_ns.add(t.schedule_ns);
         }
     }
@@ -174,11 +168,6 @@ impl LatencyEvaluator {
     /// The target platform.
     pub fn cluster(&self) -> &FpgaCluster {
         &self.cluster
-    }
-
-    /// The per-example input shape.
-    pub fn input_shape(&self) -> (usize, usize, usize) {
-        self.input
     }
 
     /// Number of uncached FNAS-Design runs so far — with the staged cache,
@@ -199,11 +188,10 @@ impl LatencyEvaluator {
         self.sim_calls.load(Ordering::Relaxed)
     }
 
-    /// This evaluator's cumulative counters: analyzer calls, per-pass wall
-    /// time and partitioned-simulation statistics (uncached executions
-    /// only; memo and store hits charge nothing), plus analytic-latency
-    /// cache traffic and the attached store's traffic. Every other field
-    /// reads zero.
+    /// This evaluator's cumulative counters: analyzer calls and per-stage
+    /// wall time (uncached executions only; memo and store hits charge
+    /// nothing), plus analytic-latency cache traffic and the attached
+    /// store's traffic. Every other field reads zero.
     pub fn meters(&self) -> TelemetrySnapshot {
         let store = self.store.counters();
         TelemetrySnapshot {
@@ -231,7 +219,7 @@ impl LatencyEvaluator {
 
     /// The staged artifact record for `arch`, memoised. The design is
     /// built on the first call from *any* path (latency, simulation,
-    /// deployment, benches) and shared by all of them.
+    /// deployment) and shared by all of them.
     ///
     /// # Errors
     ///
@@ -305,16 +293,6 @@ impl LatencyEvaluator {
         Ok(self.analyzer_report(arch)?.latency)
     }
 
-    /// The full pipeline design for `arch` (exposed for inspection and the
-    /// scheduler benches), cloned out of the shared artifact record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping and design errors.
-    pub fn design(&self, arch: &ChildArch) -> Result<PipelineDesign> {
-        Ok(self.artifacts(arch)?.design().clone())
-    }
-
     /// Cycle-accurate simulated latency under the FNAS schedule (used to
     /// validate the analytic model; roughly 100× slower than
     /// [`LatencyEvaluator::latency`]), memoised. Reuses the staged
@@ -346,65 +324,6 @@ impl LatencyEvaluator {
             }
             Ok(report.latency)
         })
-    }
-
-    /// Cycle-accurate simulated latency on the partitioned parallel
-    /// backend, memoised. Byte-identical to
-    /// [`LatencyEvaluator::simulated_latency`] (the parallel simulator is
-    /// pinned equal to the single-threaded one), so it soundly shares the
-    /// same memo cache and [`Backend::Simulated`] store records — a result
-    /// computed by either path serves both.
-    ///
-    /// # Errors
-    ///
-    /// Propagates design, graph and simulation errors.
-    pub fn partitioned_latency(&self, arch: &ChildArch) -> Result<Millis> {
-        self.simulated.get_or_try_insert_with(arch, || {
-            let key = self.store_key(arch, Backend::Simulated);
-            if let Some(ms) = self
-                .store
-                .get(&key)
-                .and_then(|b| persist::decode_millis(&b))
-            {
-                return Ok(ms);
-            }
-            let artifacts = self.artifacts(arch)?;
-            let executor = Executor::with_workers(DEFAULT_PARTITIONS);
-            let t0 = Instant::now();
-            let (report, stats) = artifacts.simulate_partitioned(&executor)?;
-            self.meters.pass_sim_ns.add(t0.elapsed().as_nanos() as u64);
-            self.charge_lowering(&artifacts);
-            self.meters.partitions_built.add(stats.partitions_built);
-            self.meters
-                .cross_partition_events
-                .add(stats.cross_partition_events);
-            self.sim_calls.fetch_add(1, Ordering::Relaxed);
-            if self.store.enabled() {
-                self.store
-                    .put(&key, &persist::encode_millis(report.latency));
-            }
-            Ok(report.latency)
-        })
-    }
-
-    /// Latency of `arch` under a caller-chosen backend.
-    ///
-    /// The built-in backends dispatch to the memoised paths
-    /// ([`Analytic`] → [`LatencyEvaluator::latency`], [`Simulated`] →
-    /// [`LatencyEvaluator::simulated_latency`], [`PartitionedSim`] →
-    /// [`LatencyEvaluator::partitioned_latency`]); custom models run
-    /// uncached over the shared (still memoised) artifact record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures of the pipeline stages the backend consumes.
-    pub fn latency_with(&self, arch: &ChildArch, model: &dyn LatencyModel) -> Result<Millis> {
-        match model.name() {
-            "analytic" => self.latency(arch),
-            "simulated" => self.simulated_latency(arch),
-            "partitioned-sim" => self.partitioned_latency(arch),
-            _ => Ok(model.latency(self.artifacts(arch)?.as_ref())?),
-        }
     }
 
     /// The full deployment record for `arch`, reusing the memoised design,
@@ -529,7 +448,6 @@ mod tests {
         let analytic = eval.latency(&a).unwrap();
         let simulated = eval.simulated_latency(&a).unwrap();
         let deployed = eval.deploy(&a).unwrap();
-        let _ = eval.design(&a).unwrap();
         let _ = eval.latency(&a).unwrap();
         let _ = eval.simulated_latency(&a).unwrap();
         assert_eq!(eval.design_builds(), 1, "design must be generated once");
@@ -537,37 +455,6 @@ mod tests {
         assert_eq!(eval.sim_calls(), 1, "simulator must run once");
         assert_eq!(deployed.analytic_latency().get(), analytic.get());
         assert_eq!(deployed.simulated_latency().get(), simulated.get());
-    }
-
-    #[test]
-    fn latency_with_dispatches_to_the_memoised_backends() {
-        let eval = LatencyEvaluator::new(FpgaDevice::pynq(), (1, 14, 14));
-        let a = arch(&[(5, 18)]);
-        let analytic = eval.latency_with(&a, &Analytic).unwrap();
-        let simulated = eval.latency_with(&a, &Simulated).unwrap();
-        assert_eq!(analytic.get(), eval.latency(&a).unwrap().get());
-        assert_eq!(simulated.get(), eval.simulated_latency(&a).unwrap().get());
-        assert_eq!(eval.design_builds(), 1);
-        assert_eq!(eval.analyzer_calls(), 1);
-        assert_eq!(eval.sim_calls(), 1);
-
-        // A custom backend runs uncached but still reuses the artifact.
-        #[derive(Debug)]
-        struct Doubled;
-        impl LatencyModel for Doubled {
-            fn latency(
-                &self,
-                artifacts: &fnas_fpga::artifacts::HwArtifacts,
-            ) -> fnas_fpga::Result<Millis> {
-                Ok(Millis::new(artifacts.analyze()?.latency.get() * 2.0))
-            }
-            fn name(&self) -> &'static str {
-                "doubled"
-            }
-        }
-        let doubled = eval.latency_with(&a, &Doubled).unwrap();
-        assert_eq!(doubled.get(), analytic.get() * 2.0);
-        assert_eq!(eval.design_builds(), 1, "custom backend reuses artifact");
     }
 
     #[test]
@@ -674,43 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_latency_is_bit_identical_to_simulated() {
-        let a = arch(&[(5, 18), (3, 18), (3, 36)]);
-        let single = LatencyEvaluator::new(FpgaDevice::pynq(), (1, 14, 14));
-        let parallel = LatencyEvaluator::new(FpgaDevice::pynq(), (1, 14, 14));
-        let want = single.simulated_latency(&a).unwrap();
-        let got = parallel.partitioned_latency(&a).unwrap();
-        assert_eq!(got.get().to_bits(), want.get().to_bits());
-
-        let counters = parallel.meters();
-        assert!(counters.partitions_built >= 1, "{counters:?}");
-        assert!(counters.pass_sim_ns > 0, "{counters:?}");
-        assert!(counters.pass_graph_ns > 0, "{counters:?}");
-        assert_eq!(single.meters().partitions_built, 0);
-
-        // Both backends share the memo cache: the partitioned result now
-        // serves the plain simulated path without a second simulation.
-        assert_eq!(
-            parallel.simulated_latency(&a).unwrap().get().to_bits(),
-            want.get().to_bits()
-        );
-        assert_eq!(parallel.sim_calls(), 1);
-    }
-
-    #[test]
-    fn latency_with_dispatches_the_partitioned_backend() {
-        let eval = LatencyEvaluator::new(FpgaDevice::pynq(), (1, 14, 14));
-        let a = arch(&[(5, 18), (3, 18)]);
-        let via_model = eval.latency_with(&a, &PartitionedSim::default()).unwrap();
-        assert_eq!(
-            via_model.get().to_bits(),
-            eval.partitioned_latency(&a).unwrap().get().to_bits()
-        );
-        assert_eq!(eval.sim_calls(), 1, "dispatch must hit the memoised path");
-        assert!(eval.meters().partitions_built >= 1);
-    }
-
-    #[test]
     fn lowering_timings_are_charged_once_per_architecture() {
         let eval = LatencyEvaluator::new(FpgaDevice::pynq(), (1, 14, 14));
         let a = arch(&[(5, 18), (3, 18)]);
@@ -721,11 +571,10 @@ mod tests {
             "{first:?}"
         );
         // Forcing the scheduled stage again must not double-charge the
-        // lowering passes (they are claimed once per artifact).
+        // lowering stages (they are claimed once per artifact).
         let _ = eval.deploy(&a).unwrap();
         let second = eval.meters();
         assert_eq!(second.pass_graph_ns, first.pass_graph_ns);
-        assert_eq!(second.pass_partition_ns, first.pass_partition_ns);
         assert_eq!(second.pass_schedule_ns, first.pass_schedule_ns);
     }
 }

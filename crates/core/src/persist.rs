@@ -64,8 +64,8 @@ pub fn cluster_bytes(cluster: &FpgaCluster) -> Vec<u8> {
 }
 
 /// The store key for `arch` evaluated on `cluster` by `backend`, under
-/// the canonical pass pipeline of this build: the pipeline fingerprint is
-/// folded in, so changing any lowering pass rotates the stored answers.
+/// the canonical lowering of this build: the pipeline fingerprint is
+/// folded in, so changing any lowering stage rotates the stored answers.
 pub fn cache_key(
     arch: &ChildArch,
     input: (usize, usize, usize),
@@ -75,7 +75,7 @@ pub fn cache_key(
     CacheKey::new(
         digest128(&arch_bytes(arch, input)),
         digest128(&cluster_bytes(cluster)),
-        fnas_fpga::passes::canonical_pipeline_fingerprint(),
+        fnas_fpga::artifacts::canonical_pipeline_fingerprint(),
         backend,
     )
 }
@@ -228,7 +228,7 @@ mod tests {
         let keys = [base, other_arch, other_input, other_device, other_backend];
         assert_eq!(
             base.pipeline_digest,
-            fnas_fpga::passes::canonical_pipeline_fingerprint()
+            fnas_fpga::artifacts::canonical_pipeline_fingerprint()
         );
         for i in 0..keys.len() {
             for j in (i + 1)..keys.len() {

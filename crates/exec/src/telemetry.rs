@@ -13,7 +13,6 @@
 //!   FNASCKPT checkpoints, as one `u64` word each in table order; `local`
 //!   ones describe work done by this process and never enter checkpoint
 //!   bytes;
-//! * the unit: `count` or `ns`;
 //! * the label reports print.
 //!
 //! From the table the macro generates the live [`SearchTelemetry`] (one
@@ -91,24 +90,13 @@ pub enum Scope {
     Local,
 }
 
-/// What a counter's raw value counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
-    /// Events, calls, items or bytes.
-    Count,
-    /// Nanoseconds of wall time.
-    Ns,
-}
-
 /// One counter of a snapshot, as [`TelemetrySnapshot::rows`] lists it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterRow {
     /// The counter's label, e.g. `"children sampled"`.
     pub label: &'static str,
-    /// The raw value, in [`CounterRow::unit`]s.
+    /// The raw value (nanoseconds for a `Duration` counter).
     pub value: u64,
-    /// What the value counts.
-    pub unit: Unit,
     /// Whether checkpoints persist the counter.
     pub scope: Scope,
 }
@@ -166,11 +154,9 @@ macro_rules! counters {
     (@read local, $next:ident) => { Value::from_raw(0) };
     (@scope logical) => { Scope::Logical };
     (@scope local) => { Scope::Local };
-    (@unit count) => { Unit::Count };
-    (@unit ns) => { Unit::Ns };
     ($(
         $(#[$doc:meta])*
-        $name:ident: $ty:ident, $merge:ident, $scope:ident, $unit:ident, $label:literal;
+        $name:ident: $ty:ident, $merge:ident, $scope:ident, $label:literal;
     )*) => {
         /// Live counters shared by the engine and its workers: one
         /// [`Meter`] per row of the counter table.
@@ -257,13 +243,11 @@ macro_rules! counters {
                 })
             }
 
-            /// Every counter's label, raw value, unit and scope, in table
-            /// order.
+            /// Every counter's label, raw value and scope, in table order.
             pub fn rows(&self) -> Vec<CounterRow> {
                 vec![$(CounterRow {
                     label: $label,
                     value: self.$name.raw(),
-                    unit: counters!(@unit $unit),
                     scope: counters!(@scope $scope),
                 },)*]
             }
@@ -273,93 +257,85 @@ macro_rules! counters {
 
 counters! {
     /// Children sampled from the controller.
-    children_sampled: u64, sum, logical, count, "children sampled";
+    children_sampled: u64, sum, logical, "children sampled";
     /// Children pruned by the latency spec without training.
-    children_pruned: u64, sum, logical, count, "children pruned";
+    children_pruned: u64, sum, logical, "children pruned";
     /// Children whose accuracy was evaluated (trained).
-    children_trained: u64, sum, logical, count, "children trained";
+    children_trained: u64, sum, logical, "children trained";
     /// Children that could not be built at all.
-    children_unbuildable: u64, sum, logical, count, "children unbuildable";
+    children_unbuildable: u64, sum, logical, "children unbuildable";
     /// Children whose evaluation faulted (panic, exhausted retries,
     /// quarantine) and were settled into failed trials.
-    children_failed: u64, sum, logical, count, "children failed";
+    children_failed: u64, sum, logical, "children failed";
     /// Completed episodes (batches).
-    episodes: u64, sum, logical, count, "episodes";
+    episodes: u64, sum, logical, "episodes";
     /// Child-evaluation panics caught and isolated.
-    panics_caught: u64, sum, logical, count, "panics caught";
+    panics_caught: u64, sum, logical, "panics caught";
     /// Transient-fault retries issued by the resilient oracle.
-    retries: u64, sum, logical, count, "oracle retries";
+    retries: u64, sum, logical, "oracle retries";
     /// Children quarantined for non-finite accuracies.
-    quarantined: u64, sum, logical, count, "quarantined accuracies";
+    quarantined: u64, sum, logical, "quarantined accuracies";
     /// Checkpoints written to disk during the run.
-    checkpoints_written: u64, sum, logical, count, "checkpoints written";
+    checkpoints_written: u64, sum, logical, "checkpoints written";
     /// Accuracy-oracle invocations.
-    train_calls: u64, sum, logical, count, "train calls";
+    train_calls: u64, sum, logical, "train calls";
     /// Uncached FNAS-tool (analyzer) invocations.
-    analyzer_calls: u64, sum, local, count, "analyzer calls";
+    analyzer_calls: u64, sum, local, "analyzer calls";
     /// Latency-cache hits.
-    latency_cache_hits: u64, sum, local, count, "latency cache hits";
+    latency_cache_hits: u64, sum, local, "latency cache hits";
     /// Latency-cache misses.
-    latency_cache_misses: u64, sum, local, count, "latency cache misses";
+    latency_cache_misses: u64, sum, local, "latency cache misses";
     /// Accuracy-cache hits.
-    accuracy_cache_hits: u64, sum, local, count, "accuracy cache hits";
+    accuracy_cache_hits: u64, sum, local, "accuracy cache hits";
     /// Accuracy-cache misses.
-    accuracy_cache_misses: u64, sum, local, count, "accuracy cache misses";
+    accuracy_cache_misses: u64, sum, local, "accuracy cache misses";
     /// Persistent-store (L2) hits: oracle answers served from disk.
-    store_hits: u64, sum, local, count, "store hits";
+    store_hits: u64, sum, local, "store hits";
     /// Persistent-store lookups that found no usable record.
-    store_misses: u64, sum, local, count, "store misses";
+    store_misses: u64, sum, local, "store misses";
     /// Records written through to the persistent store.
-    store_writes: u64, sum, local, count, "store writes";
+    store_writes: u64, sum, local, "store writes";
     /// Records evicted from the persistent store by garbage collection.
-    store_evictions: u64, sum, local, count, "store evictions";
+    store_evictions: u64, sum, local, "store evictions";
     /// Latest known persistent-store size in record bytes (a gauge).
-    store_bytes: u64, max, local, count, "store bytes on disk";
+    store_bytes: u64, max, local, "store bytes on disk";
     /// Wall time (ns) in the `design` lowering pass.
-    pass_design_ns: u64, sum, local, ns, "pass design";
+    pass_design_ns: u64, sum, local, "pass design";
     /// Wall time (ns) in the `taskgraph` lowering pass.
-    pass_graph_ns: u64, sum, local, ns, "pass taskgraph";
-    /// Wall time (ns) in the `partition` lowering pass.
-    pass_partition_ns: u64, sum, local, ns, "pass partition";
+    pass_graph_ns: u64, sum, local, "pass taskgraph";
     /// Wall time (ns) in the `schedule` lowering pass.
-    pass_schedule_ns: u64, sum, local, ns, "pass schedule";
-    /// Wall time (ns) in the `sim` pass — cycle simulation, either
-    /// backend.
-    pass_sim_ns: u64, sum, local, ns, "pass sim";
-    /// Regions built by the `partition` pass for the parallel simulator.
-    partitions_built: u64, sum, local, count, "partitions built";
-    /// Cross-partition availability events settled by the partitioned
-    /// simulator.
-    cross_partition_events: u64, sum, local, count, "cross-partition events";
+    pass_schedule_ns: u64, sum, local, "pass schedule";
+    /// Wall time (ns) in the `sim` pass — cycle simulation.
+    pass_sim_ns: u64, sum, local, "pass sim";
     /// Shard leases that expired without a heartbeat (coordinator-side).
-    leases_expired: u64, sum, local, count, "leases expired";
+    leases_expired: u64, sum, local, "leases expired";
     /// Shards handed out more than once — speculative straggler copies
     /// plus expired-lease re-dispatches (coordinator-side).
-    shards_redispatched: u64, sum, local, count, "shards re-dispatched";
+    shards_redispatched: u64, sum, local, "shards re-dispatched";
     /// Duplicate shard completions discarded first-wins after the
     /// byte-compare assertion (coordinator-side).
-    duplicate_results: u64, sum, local, count, "duplicate results";
+    duplicate_results: u64, sum, local, "duplicate results";
     /// Records appended to the coordinator's crash-safe round journal.
-    journal_records: u64, sum, local, count, "journal records";
+    journal_records: u64, sum, local, "journal records";
     /// Completed rounds resumed from the round journal on coordinator
     /// restart instead of being re-run.
-    rounds_recovered: u64, sum, local, count, "rounds recovered";
+    rounds_recovered: u64, sum, local, "rounds recovered";
     /// Submissions rejected by epoch fencing because they were produced
     /// under a previous coordinator incarnation.
-    stale_submissions_rejected: u64, sum, local, count, "stale submissions rejected";
+    stale_submissions_rejected: u64, sum, local, "stale submissions rejected";
     /// `Retry` answers served at the submit-admission cap
     /// (coordinator-side).
-    retries_served: u64, sum, local, count, "retries served";
+    retries_served: u64, sum, local, "retries served";
     /// Milliseconds of backoff those retries advised.
-    retry_sleep_ms: u64, sum, local, count, "retry sleep (ms)";
+    retry_sleep_ms: u64, sum, local, "retry sleep (ms)";
     /// Wall time in the (serial) sampling phase.
-    sample_time: Duration, sum, local, ns, "sample wall";
+    sample_time: Duration, sum, local, "sample wall";
     /// Wall time in the (parallel) latency phase.
-    latency_time: Duration, sum, local, ns, "latency wall";
+    latency_time: Duration, sum, local, "latency wall";
     /// Wall time in the (parallel) accuracy phase.
-    accuracy_time: Duration, sum, local, ns, "accuracy wall";
+    accuracy_time: Duration, sum, local, "accuracy wall";
     /// Wall time in the (serial) reward/update phase.
-    update_time: Duration, sum, local, ns, "update wall";
+    update_time: Duration, sum, local, "update wall";
 }
 
 impl SearchTelemetry {
@@ -423,12 +399,9 @@ mod tests {
         for scale in [10, 1] {
             t.pass_design_ns.add(scale);
             t.pass_graph_ns.add(2 * scale);
-            t.pass_partition_ns.add(3 * scale);
             t.pass_schedule_ns.add(4 * scale);
             t.pass_sim_ns.add(5 * scale);
         }
-        t.partitions_built.add(4);
-        t.cross_partition_events.add(128);
         let s = t.snapshot();
         assert_eq!(s.children_sampled, 10);
         assert_eq!(s.children_pruned, 2);
@@ -463,14 +436,11 @@ mod tests {
             [
                 s.pass_design_ns,
                 s.pass_graph_ns,
-                s.pass_partition_ns,
                 s.pass_schedule_ns,
                 s.pass_sim_ns,
             ],
-            [11, 22, 33, 44, 55]
+            [11, 22, 44, 55]
         );
-        assert_eq!(s.partitions_built, 4);
-        assert_eq!(s.cross_partition_events, 128);
     }
 
     #[test]
@@ -548,10 +518,7 @@ mod tests {
             store_hits: base * 11,
             store_writes: u64::MAX - base * 3,
             store_bytes: base * 1000, // merged as max, still commutative
-            pass_partition_ns: u64::MAX - base * 17,
             pass_sim_ns: base * 19,
-            partitions_built: base * 4,
-            cross_partition_events: u64::MAX - base * 23,
             accuracy_time: Duration::from_nanos(base),
             ..TelemetrySnapshot::default()
         };
@@ -614,8 +581,6 @@ mod tests {
             latency_cache_hits: 99,
             store_hits: 77,
             pass_sim_ns: 55,
-            partitions_built: 9,
-            cross_partition_events: 31,
             ..TelemetrySnapshot::default()
         };
         t.restore_counters(&snap);
@@ -634,11 +599,9 @@ mod tests {
         assert_eq!(s.latency_cache_misses, 5);
         // Store traffic is process-local too.
         assert_eq!((s.store_hits, s.store_misses, s.store_writes), (3, 1, 2));
-        // Pass timings and partition stats are process-local too: they
-        // describe lowering work actually performed here, not replayed.
+        // Pass timings are process-local too: they describe lowering
+        // work actually performed here, not replayed.
         assert_eq!(s.pass_sim_ns, 0);
-        assert_eq!(s.partitions_built, 0);
-        assert_eq!(s.cross_partition_events, 0);
 
         // Every field distinct and non-zero: exactly the 11 logical
         // counters are restored; every other field keeps this process's
@@ -695,9 +658,9 @@ mod tests {
 
         // One row per field, labels unique, logical rows in word order.
         let rows = s.rows();
-        assert_eq!(rows.len(), 40);
+        assert_eq!(rows.len(), 37);
         let labels: std::collections::HashSet<_> = rows.iter().map(|r| r.label).collect();
-        assert_eq!(labels.len(), 40);
+        assert_eq!(labels.len(), 37);
         let logical: Vec<u64> = rows
             .iter()
             .filter(|r| r.scope == Scope::Logical)
@@ -705,10 +668,11 @@ mod tests {
             .collect();
         assert_eq!(logical, words);
         let wall = rows.iter().find(|r| r.label == "sample wall").unwrap();
-        assert_eq!((wall.value, wall.unit), (37 * 5, Unit::Ns));
+        assert_eq!(wall.value, 37 * 5);
     }
 
-    /// A snapshot whose 40 fields all differ: field `i` holds `i * k`.
+    /// A snapshot whose 37 fields all differ: each holds its own multiple
+    /// of `k`.
     fn distinct(k: u64) -> TelemetrySnapshot {
         let ns = |i: u64| Duration::from_nanos(i * k);
         TelemetrySnapshot {
@@ -743,11 +707,8 @@ mod tests {
             store_bytes: 29 * k,
             pass_design_ns: 30 * k,
             pass_graph_ns: 31 * k,
-            pass_partition_ns: 32 * k,
             pass_schedule_ns: 33 * k,
             pass_sim_ns: 34 * k,
-            partitions_built: 35 * k,
-            cross_partition_events: 36 * k,
             sample_time: ns(37),
             latency_time: ns(38),
             accuracy_time: ns(39),

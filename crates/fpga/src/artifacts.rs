@@ -1,4 +1,4 @@
-//! Staged hardware artifacts and pluggable latency backends.
+//! Staged hardware artifacts: the fixed FNAS lowering, each stage built once.
 //!
 //! The four-stage FNAS tool is a pipeline — **FNAS-Design**
 //! ([`PipelineDesign`]) → **FNAS-GG** ([`TileTaskGraph`]) → **FNAS-Sched**
@@ -7,50 +7,73 @@
 //! design alone, while cycle-accurate simulation and deployment reports
 //! need the graph and schedule too. [`HwArtifacts`] records the pipeline's
 //! stages for one architecture so each stage is produced *at most once*
-//! however many models, reports, or benches consume it: the design is
-//! built eagerly (it is the buildability check), and the scheduled stage
-//! (graph + schedule) is materialised lazily on first use and shared from
-//! then on.
+//! however many models or reports consume it: the design is built eagerly
+//! (it is the buildability check), and the scheduled stage (graph +
+//! schedule) is materialised lazily on first use and shared from then on.
+//! [`HwArtifacts::analyze`] prices the design alone;
+//! [`HwArtifacts::simulate`] forces the scheduled stage.
 //!
-//! [`LatencyModel`] abstracts the backend choice — [`Analytic`] for the
-//! closed-form cost used in the inner search loop, [`Simulated`] for the
-//! cycle-accurate validator, [`PartitionedSim`] for the same validator on
-//! the partitioned parallel backend — so callers select fidelity per call
-//! instead of via parallel ad-hoc methods.
-//!
-//! Since the pass-pipeline refactor the lazy lowering here is expressed as
-//! a [`PassManager`] run (`taskgraph → partition → schedule`), so the
-//! staged record and the explicit pipeline cannot drift apart, and the
-//! per-pass wall times are recorded for telemetry
-//! ([`HwArtifacts::claim_lowering_timings`]).
+//! The lazy lowering times its two stages for telemetry
+//! ([`HwArtifacts::claim_lowering_timings`]), and
+//! [`canonical_pipeline_fingerprint`] names the lowering's semantics in
+//! `fnas-store` cache keys.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
-use fnas_exec::Executor;
+use fnas_exec::hash::{fnv1a, mix64, FNV_OFFSET};
 
 use crate::analyzer::{analyze, AnalyzerReport};
 use crate::design::PipelineDesign;
 use crate::device::FpgaCluster;
 use crate::layer::Network;
-use crate::passes::partition::PartitionedGraph;
-use crate::passes::{PassManager, PipelineIr, DEFAULT_PARTITIONS};
-use crate::sched::Schedule;
-use crate::sim::parallel::{simulate_design_partitioned, PartitionStats};
+use crate::sched::{FnasScheduler, Schedule};
 use crate::sim::{simulate_design, SimReport};
 use crate::taskgraph::TileTaskGraph;
-use crate::units::Millis;
 use crate::Result;
 
-/// Wall time of the lazy lowering passes, claimed once per artifact for
+/// The semantics of each lowering stage, in pipeline order, as folded by
+/// [`canonical_pipeline_fingerprint`]. Frozen: every `fnas-store` cache key
+/// carries the fold, so editing, reordering or dropping an entry rotates
+/// every stored record. A change that can alter a stage's output bytes
+/// must bump that stage's version here. The `partition` entry names a
+/// region split that never changed an output byte and is no longer run; it
+/// stays so that existing keys stay valid.
+const STAGE_SEMANTICS: [&str; 5] = [
+    "design/v1:roofline-tiling:mac-balanced-placement:harmonized-grid",
+    "taskgraph/v1:tile-dependency-windows",
+    "partition/v1:contiguous-cycle-balanced-regions",
+    // The FnasScheduler::new() configuration: alternating reuse starting
+    // with OFM, ready-queue reordering, channel-first spatial order.
+    "schedule/v1:fnas-sched:ofm-first:reorder-on-stall:channel-first",
+    "sim/v1:event-heap:push-order-tiebreak",
+];
+
+/// The lowering's fingerprint — the value folded into the persistent
+/// store's cache keys (`fnas-store` rotates records when it changes): an
+/// order-sensitive fold of each stage's semantics digest.
+pub fn canonical_pipeline_fingerprint() -> u64 {
+    STAGE_SEMANTICS
+        .iter()
+        .fold(fnv64(b"fnas-pass-pipeline/v1"), |acc, stage| {
+            mix64(acc.rotate_left(7) ^ fnv64(stage.as_bytes()))
+        })
+}
+
+/// 64-bit FNV-1a, length-finalised through SplitMix64; stable across
+/// platforms.
+fn fnv64(bytes: &[u8]) -> u64 {
+    mix64(fnv1a(FNV_OFFSET, bytes) ^ bytes.len() as u64)
+}
+
+/// Wall time of the lazy lowering stages, claimed once per artifact for
 /// telemetry (see [`HwArtifacts::claim_lowering_timings`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoweringTimings {
-    /// Nanoseconds the `taskgraph` pass took.
+    /// Nanoseconds FNAS-GG ([`TileTaskGraph::from_design`]) took.
     pub graph_ns: u64,
-    /// Nanoseconds the `partition` pass took.
-    pub partition_ns: u64,
-    /// Nanoseconds the `schedule` pass took.
+    /// Nanoseconds FNAS-Sched ([`FnasScheduler::schedule`]) took.
     pub schedule_ns: u64,
 }
 
@@ -58,21 +81,14 @@ pub struct LoweringTimings {
 /// the flexible schedule over it (FNAS-Sched), always produced together.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scheduled {
-    graph: Arc<TileTaskGraph>,
-    partitions: Arc<PartitionedGraph>,
-    schedule: Arc<Schedule>,
+    graph: TileTaskGraph,
+    schedule: Schedule,
 }
 
 impl Scheduled {
     /// The tile-based task graph.
     pub fn graph(&self) -> &TileTaskGraph {
         &self.graph
-    }
-
-    /// The canonical region split of [`Scheduled::graph`] used by the
-    /// partitioned parallel simulator.
-    pub fn partitions(&self) -> &PartitionedGraph {
-        &self.partitions
     }
 
     /// The flexible schedule over [`Scheduled::graph`].
@@ -91,7 +107,7 @@ impl Scheduled {
 /// # Examples
 ///
 /// ```
-/// use fnas_fpga::artifacts::{Analytic, HwArtifacts, LatencyModel, Simulated};
+/// use fnas_fpga::artifacts::HwArtifacts;
 /// use fnas_fpga::device::{FpgaCluster, FpgaDevice};
 /// use fnas_fpga::layer::{ConvShape, Network};
 ///
@@ -101,15 +117,15 @@ impl Scheduled {
 ///     ConvShape::square(16, 32, 32, 3)?,
 /// ])?;
 /// let art = HwArtifacts::build(&net, &FpgaCluster::single(FpgaDevice::pynq()))?;
-/// let fast = Analytic.latency(&art)?;
-/// let exact = Simulated.latency(&art)?;
+/// let fast = art.analyze()?.latency;
+/// let exact = art.simulate()?.latency;
 /// assert!(fast.get() > 0.0 && exact.get() > 0.0);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct HwArtifacts {
-    design: Arc<PipelineDesign>,
+    design: PipelineDesign,
     scheduled: OnceLock<Result<Arc<Scheduled>>>,
     lowering: OnceLock<LoweringTimings>,
     lowering_claimed: AtomicBool,
@@ -131,7 +147,7 @@ impl HwArtifacts {
     /// Wraps an already-generated design (stage 1 done elsewhere).
     pub fn from_design(design: PipelineDesign) -> Self {
         HwArtifacts {
-            design: Arc::new(design),
+            design,
             scheduled: OnceLock::new(),
             lowering: OnceLock::new(),
             lowering_claimed: AtomicBool::new(false),
@@ -161,33 +177,20 @@ impl HwArtifacts {
     pub fn scheduled(&self) -> Result<Arc<Scheduled>> {
         self.scheduled
             .get_or_init(|| {
-                let mut ir = PipelineIr::from_design(self.design.clone());
-                PassManager::lowering(DEFAULT_PARTITIONS).run(&mut ir)?;
-                let of = |name: &str| {
-                    ir.timings()
-                        .iter()
-                        .find(|t| t.name == name)
-                        .map(|t| t.nanos)
-                        .unwrap_or(0)
-                };
+                let t0 = Instant::now();
+                let graph = TileTaskGraph::from_design(&self.design)?;
+                let t1 = Instant::now();
+                let schedule = FnasScheduler::new().schedule(&graph);
                 let _ = self.lowering.set(LoweringTimings {
-                    graph_ns: of("taskgraph"),
-                    partition_ns: of("partition"),
-                    schedule_ns: of("schedule"),
+                    graph_ns: (t1 - t0).as_nanos() as u64,
+                    schedule_ns: t1.elapsed().as_nanos() as u64,
                 });
-                Ok(Arc::new(Scheduled {
-                    graph: ir.graph().expect("lowering fills the graph").clone(),
-                    partitions: ir
-                        .partitions()
-                        .expect("lowering fills the partitions")
-                        .clone(),
-                    schedule: ir.schedule().expect("lowering fills the schedule").clone(),
-                }))
+                Ok(Arc::new(Scheduled { graph, schedule }))
             })
             .clone()
     }
 
-    /// The lazy lowering's per-pass wall times, surrendered exactly once
+    /// The lazy lowering's per-stage wall times, surrendered exactly once
     /// per artifact (so shared artifacts do not double-charge telemetry).
     /// `None` before the scheduled stage exists or after the first claim.
     pub fn claim_lowering_timings(&self) -> Option<LoweringTimings> {
@@ -199,7 +202,8 @@ impl HwArtifacts {
         }
     }
 
-    /// FNAS-Analyzer (Eqs. 2–5) over the design stage.
+    /// FNAS-Analyzer (Eqs. 2–5) over the design stage. Never forces the
+    /// scheduled stage.
     ///
     /// # Errors
     ///
@@ -216,110 +220,6 @@ impl HwArtifacts {
     pub fn simulate(&self) -> Result<SimReport> {
         let scheduled = self.scheduled()?;
         simulate_design(&self.design, &scheduled.graph, &scheduled.schedule)
-    }
-
-    /// Cycle-accurate simulation on the partitioned parallel backend —
-    /// byte-identical to [`HwArtifacts::simulate`], with the scheduled
-    /// stage's canonical region split run on `executor` threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph-generation or simulation failures.
-    pub fn simulate_partitioned(&self, executor: &Executor) -> Result<(SimReport, PartitionStats)> {
-        let scheduled = self.scheduled()?;
-        simulate_design_partitioned(
-            &self.design,
-            &scheduled.graph,
-            &scheduled.schedule,
-            &scheduled.partitions,
-            executor,
-        )
-    }
-}
-
-/// A latency backend over staged [`HwArtifacts`].
-///
-/// Implementations declare which pipeline stages they consume by what they
-/// touch: [`Analytic`] reads only the design, [`Simulated`] forces the
-/// scheduled stage. The [`LatencyModel::name`] doubles as the memoisation
-/// key suffix for callers that cache per-backend results.
-pub trait LatencyModel: Send + Sync {
-    /// End-to-end latency of one inference under this backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures of the pipeline stages the backend consumes.
-    fn latency(&self, artifacts: &HwArtifacts) -> Result<Millis>;
-
-    /// A stable, unique backend identifier (e.g. `"analytic"`).
-    fn name(&self) -> &'static str;
-}
-
-/// The closed-form FNAS-Analyzer backend (Eqs. 2–5). Cheap: consumes only
-/// the design stage.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Analytic;
-
-impl LatencyModel for Analytic {
-    fn latency(&self, artifacts: &HwArtifacts) -> Result<Millis> {
-        Ok(artifacts.analyze()?.latency)
-    }
-
-    fn name(&self) -> &'static str {
-        "analytic"
-    }
-}
-
-/// The cycle-accurate discrete-event backend. Forces the scheduled stage
-/// (graph + schedule) and simulates it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Simulated;
-
-impl LatencyModel for Simulated {
-    fn latency(&self, artifacts: &HwArtifacts) -> Result<Millis> {
-        Ok(artifacts.simulate()?.latency)
-    }
-
-    fn name(&self) -> &'static str {
-        "simulated"
-    }
-}
-
-/// The cycle-accurate backend on the partitioned parallel simulator:
-/// byte-identical to [`Simulated`] but runs the scheduled stage's region
-/// split concurrently. Shares `"simulated"`-backend caches soundly for
-/// exactly that reason, while keeping its own [`LatencyModel::name`] for
-/// dispatch.
-#[derive(Debug, Clone, Copy)]
-pub struct PartitionedSim {
-    executor: Executor,
-}
-
-impl PartitionedSim {
-    /// A backend simulating on `executor` threads.
-    pub fn new(executor: Executor) -> Self {
-        PartitionedSim { executor }
-    }
-
-    /// A backend with a dedicated `workers`-thread pool.
-    pub fn with_workers(workers: usize) -> Self {
-        PartitionedSim::new(Executor::with_workers(workers))
-    }
-}
-
-impl Default for PartitionedSim {
-    fn default() -> Self {
-        PartitionedSim::with_workers(DEFAULT_PARTITIONS)
-    }
-}
-
-impl LatencyModel for PartitionedSim {
-    fn latency(&self, artifacts: &HwArtifacts) -> Result<Millis> {
-        Ok(artifacts.simulate_partitioned(&self.executor)?.0.latency)
-    }
-
-    fn name(&self) -> &'static str {
-        "partitioned-sim"
     }
 }
 
@@ -342,6 +242,13 @@ mod tests {
     }
 
     #[test]
+    fn canonical_pipeline_fingerprint_is_pinned() {
+        // Every `fnas-store` cache key carries this value: a change
+        // rotates every stored record.
+        assert_eq!(canonical_pipeline_fingerprint(), 0xd2d6_debb_e3b6_95a5);
+    }
+
+    #[test]
     fn scheduled_stage_is_lazy_and_shared() {
         let art = artifacts();
         assert!(!art.is_scheduled());
@@ -355,40 +262,17 @@ mod tests {
     #[test]
     fn backends_match_direct_calls() {
         let art = artifacts();
-        let analytic = Analytic.latency(&art).unwrap();
-        assert_eq!(analytic, analyze(art.design()).unwrap().latency);
+        assert_eq!(art.analyze().unwrap(), analyze(art.design()).unwrap());
 
-        let simulated = Simulated.latency(&art).unwrap();
+        let design = PipelineDesign::generate(&tiny_network(), &FpgaDevice::pynq()).unwrap();
+        assert_eq!(art.design(), &design);
+        let graph = TileTaskGraph::from_design(&design).unwrap();
+        let schedule = FnasScheduler::new().schedule(&graph);
         let sched = art.scheduled().unwrap();
-        let direct = simulate_design(art.design(), sched.graph(), sched.schedule()).unwrap();
-        assert_eq!(simulated, direct.latency);
-    }
-
-    #[test]
-    fn backend_names_are_distinct() {
-        assert_eq!(Analytic.name(), "analytic");
-        assert_eq!(Simulated.name(), "simulated");
-        assert_eq!(PartitionedSim::default().name(), "partitioned-sim");
-        assert_ne!(Analytic.name(), Simulated.name());
-    }
-
-    #[test]
-    fn partitioned_backend_is_byte_identical_to_simulated() {
-        let art = artifacts();
-        let single = art.simulate().unwrap();
-        for workers in [0usize, 1, 2, 8] {
-            let executor = Executor::with_workers(workers);
-            let (report, stats) = art.simulate_partitioned(&executor).unwrap();
-            assert_eq!(report, single, "workers={workers}");
-            assert_eq!(
-                stats.partitions_built,
-                art.scheduled().unwrap().partitions().num_regions() as u64
-            );
-        }
-        assert_eq!(
-            PartitionedSim::default().latency(&art).unwrap(),
-            Simulated.latency(&art).unwrap()
-        );
+        assert_eq!(sched.graph(), &graph);
+        assert_eq!(sched.schedule(), &schedule);
+        let direct = simulate_design(&design, &graph, &schedule).unwrap();
+        assert_eq!(art.simulate().unwrap(), direct);
     }
 
     #[test]
@@ -404,9 +288,9 @@ mod tests {
     #[test]
     fn analytic_does_not_force_the_scheduled_stage() {
         let art = artifacts();
-        Analytic.latency(&art).unwrap();
+        art.analyze().unwrap();
         assert!(!art.is_scheduled(), "Eqs. 2–5 need only the design");
-        Simulated.latency(&art).unwrap();
+        art.simulate().unwrap();
         assert!(art.is_scheduled());
     }
 

@@ -1,34 +1,31 @@
-//! `fnas-fpga` — debug CLI for the hardware-oracle pass pipeline.
+//! `fnas-fpga` — debug CLI for the hardware-oracle lowering.
 //!
-//! The `pipeline` verb lowers one architecture through the standard pass
-//! pipeline (`design → taskgraph → partition → schedule → sim`) and dumps,
-//! per pass: its position, name, semantics fingerprint, wall time, and the
-//! IR slots filled so far. It also prints the combined pipeline
-//! fingerprint next to the canonical one folded into `fnas-store` cache
-//! keys, so a mismatch between a local pipeline variant and the store
-//! schema is visible at a glance. `--gantt` additionally renders the
-//! executed schedule as an SVG chart via `fnas_fpga::viz`.
+//! The `pipeline` verb lowers one architecture through the FNAS tool's
+//! stages (`design → taskgraph → schedule → sim`) and dumps, per stage:
+//! its position, name, wall time, and what it built. It also prints the
+//! canonical pipeline fingerprint folded into `fnas-store` cache keys.
+//! `--gantt` additionally renders the executed schedule as an SVG chart
+//! via `fnas_fpga::viz`.
 //!
 //! ```text
-//! fnas-fpga pipeline 16,32,64 --image 32 --partitions 4 --parallel
+//! fnas-fpga pipeline 16,32,64 --image 32 --gantt out.svg
 //! ```
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fnas_exec::Executor;
+use fnas_fpga::artifacts::canonical_pipeline_fingerprint;
+use fnas_fpga::design::PipelineDesign;
 use fnas_fpga::device::{FpgaCluster, FpgaDevice};
 use fnas_fpga::layer::{ConvShape, Network};
-use fnas_fpga::passes::{
-    canonical_pipeline_fingerprint, DesignPass, GraphPass, PartitionPass, PassManager, PipelineIr,
-    SchedulePass, SimPass, DEFAULT_PARTITIONS,
-};
+use fnas_fpga::sched::FnasScheduler;
 use fnas_fpga::sim::simulate_traced;
+use fnas_fpga::taskgraph::TileTaskGraph;
 use fnas_fpga::viz::{render_gantt, GanttOptions};
 use fnas_fpga::Cycles;
 
 const USAGE: &str = "\
-fnas-fpga — debug tools for the FPGA pass pipeline
+fnas-fpga — debug tools for the FPGA lowering pipeline
 
 USAGE:
     fnas-fpga pipeline <filters> [OPTIONS]
@@ -41,9 +38,6 @@ OPTIONS:
     --image <N>       square feature-map size [default: 32]
     --kernel <N>      square kernel size [default: 3]
     --device <NAME>   pynq | 7a50t | 7z020 | zu9eg [default: pynq]
-    --partitions <N>  region count for the partition pass [default: 4]
-    --parallel        simulate on the partitioned parallel backend
-    --workers <N>     worker threads for --parallel [default: partitions]
     --gantt <PATH>    write an SVG Gantt chart of the executed schedule
     -h, --help        print this help
 ";
@@ -54,9 +48,6 @@ struct Options {
     image: usize,
     kernel: usize,
     device: FpgaDevice,
-    partitions: usize,
-    parallel: bool,
-    workers: Option<usize>,
     gantt: Option<String>,
 }
 
@@ -98,9 +89,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         image: 32,
         kernel: 3,
         device: FpgaDevice::pynq(),
-        partitions: DEFAULT_PARTITIONS,
-        parallel: false,
-        workers: None,
         gantt: None,
     };
     while let Some(arg) = iter.next() {
@@ -112,9 +100,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                 let name = iter.next().ok_or("--device needs a value")?;
                 opts.device = parse_device(&name)?;
             }
-            "--partitions" => opts.partitions = parse_usize("--partitions", iter.next())?,
-            "--parallel" => opts.parallel = true,
-            "--workers" => opts.workers = Some(parse_usize("--workers", iter.next())?),
             "--gantt" => opts.gantt = Some(iter.next().ok_or("--gantt needs a path")?),
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -133,73 +118,70 @@ fn build_network(opts: &Options) -> Result<Network, String> {
     Network::new(layers).map_err(|e| e.to_string())
 }
 
+/// Runs one stage, printing its position, name, wall time and `what` it
+/// built.
+fn stage<T>(
+    step: usize,
+    name: &str,
+    run: impl FnOnce() -> fnas_fpga::Result<T>,
+    what: impl FnOnce(&T) -> String,
+) -> Result<T, String> {
+    let t0 = Instant::now();
+    let out = run().map_err(|e| format!("{name}: {e}"))?;
+    let nanos = t0.elapsed().as_nanos();
+    println!("{step:>2}. {name:<10} {nanos:>10} ns  {}", what(&out));
+    Ok(out)
+}
+
 fn dump_pipeline(opts: &Options) -> Result<(), String> {
     let network = build_network(opts)?;
     let cluster = FpgaCluster::single(opts.device.clone());
-    let workers = opts.workers.unwrap_or(opts.partitions);
-    let sim_pass = if opts.parallel {
-        SimPass::partitioned(Executor::with_workers(workers))
-    } else {
-        SimPass::single_threaded()
-    };
-    let manager = PassManager::new(vec![
-        Box::new(DesignPass),
-        Box::new(GraphPass),
-        Box::new(PartitionPass {
-            partitions: opts.partitions,
-        }),
-        Box::new(SchedulePass),
-        Box::new(sim_pass),
-    ]);
-
     println!(
-        "pipeline for {} layers on {} ({} mode, {} partitions)",
+        "pipeline for {} layers on {}",
         opts.filters.len(),
         opts.device.name(),
-        if opts.parallel {
-            "partitioned parallel"
-        } else {
-            "single-threaded"
-        },
-        opts.partitions,
     );
     println!(
-        "pipeline fingerprint {:016x} (canonical store key uses {:016x})",
-        manager.fingerprint(),
+        "pipeline fingerprint {:016x} (folded into store keys)",
         canonical_pipeline_fingerprint(),
     );
     println!();
 
-    let mut ir = PipelineIr::for_network(network, cluster);
-    for (i, pass) in manager.passes().iter().enumerate() {
-        let t0 = Instant::now();
-        pass.run(&mut ir).map_err(|e| e.to_string())?;
-        let nanos = t0.elapsed().as_nanos() as u64;
-        println!(
-            "{:>2}. {:<10} fingerprint {:016x}  {:>10} ns",
-            i + 1,
-            pass.name(),
-            pass.fingerprint(),
-            nanos,
-        );
-        println!("    ir: {}", ir.summary());
-    }
-    if let Some(stats) = ir.partition_stats() {
-        println!();
-        println!(
-            "partitioned sim: {} partitions built, {} cross-partition events",
-            stats.partitions_built, stats.cross_partition_events,
-        );
-    }
+    let design = stage(
+        1,
+        "design",
+        || PipelineDesign::generate_on_cluster(&network, &cluster),
+        |d| {
+            format!(
+                "{} layers, {} DSP",
+                d.layers().len(),
+                d.utilization().dsp_used
+            )
+        },
+    )?;
+    let graph = stage(
+        2,
+        "taskgraph",
+        || TileTaskGraph::from_design(&design),
+        |g| format!("{} tasks over {} layers", g.total_tasks(), g.num_layers()),
+    )?;
+    let schedule = stage(
+        3,
+        "schedule",
+        || Ok(FnasScheduler::new().schedule(&graph)),
+        |s| format!("{} PEs, {}", s.num_pes(), s.name()),
+    )?;
+    let transfers: Vec<Cycles> = (0..graph.num_layers().saturating_sub(1))
+        .map(|i| design.boundary_transfer_cycles(i))
+        .collect();
+    let (_, trace) = stage(
+        4,
+        "sim",
+        || simulate_traced(&graph, &schedule, &transfers),
+        |(report, _)| format!("makespan {}", report.makespan),
+    )?;
 
     if let Some(path) = &opts.gantt {
-        let design = ir.design().ok_or("design slot empty after pipeline")?;
-        let graph = ir.graph().ok_or("graph slot empty after pipeline")?;
-        let schedule = ir.schedule().ok_or("schedule slot empty after pipeline")?;
-        let transfers: Vec<Cycles> = (0..graph.num_layers().saturating_sub(1))
-            .map(|i| design.boundary_transfer_cycles(i))
-            .collect();
-        let (_, trace) = simulate_traced(graph, schedule, &transfers).map_err(|e| e.to_string())?;
         let svg = render_gantt(&trace, &GanttOptions::default());
         std::fs::write(path, svg).map_err(|e| format!("writing {path}: {e}"))?;
         println!();

@@ -22,7 +22,7 @@
 //! search (buffer sizing, candidate enumeration), `placement` holds the
 //! cross-layer decisions (device packing, DSP budgeting, grid
 //! harmonisation). Both are driven by [`PipelineDesign::generate_on_cluster`],
-//! which the pass pipeline wraps as its `design` pass.
+//! the first stage of the lowering `crate::artifacts` records.
 
 mod placement;
 mod tiling;

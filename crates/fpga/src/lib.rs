@@ -17,17 +17,12 @@
 //!   alternating OFM/IFM reuse, plus the *fixed scheduling* baseline;
 //! * [`analyzer`] — **FNAS-Analyzer**: closed-form latency (Eqs. 2–5);
 //! * [`artifacts`] — the staged pipeline record ([`artifacts::HwArtifacts`]:
-//!   design → graph → schedule, each built at most once) and the
-//!   [`artifacts::LatencyModel`] backends (`Analytic` / `Simulated` /
-//!   `PartitionedSim`);
-//! * [`passes`] — the explicit lowering pipeline: the [`passes::Pass`]
-//!   trait, the [`passes::PassManager`] running
-//!   `design → taskgraph → partition → schedule → sim`, and the canonical
-//!   pipeline fingerprint folded into `fnas-store` cache keys;
+//!   design → graph → schedule, each built at most once, priced by the
+//!   analyzer or the simulator) and the canonical pipeline fingerprint
+//!   folded into `fnas-store` cache keys;
 //! * [`sim`] — a discrete-event simulator executing a schedule on the
 //!   pipeline of processing elements, optionally across multiple FPGAs,
-//!   which stands in for the paper's physical boards (see DESIGN.md §2),
-//!   plus the partitioned parallel backend ([`sim::parallel`]);
+//!   which stands in for the paper's physical boards (see DESIGN.md §2);
 //! * [`viz`] — SVG Gantt rendering of execution traces (Fig. 4(b)-style).
 //!
 //! # Examples
@@ -59,7 +54,6 @@ pub mod design;
 pub mod device;
 mod error;
 pub mod layer;
-pub mod passes;
 pub mod sched;
 pub mod sim;
 pub mod taskgraph;

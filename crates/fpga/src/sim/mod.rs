@@ -20,8 +20,6 @@
 //! per-image latency from the steady-state initiation interval — the
 //! throughput picture the paper's "low-batch real-time" motivation implies.
 
-pub mod parallel;
-
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

@@ -535,6 +535,7 @@ impl Server {
 mod tests {
     use super::*;
     use fnas::experiment::ExperimentPreset;
+    use fnas::job::OracleBackend;
     use fnas::search::SearchConfig;
     use fnas_coord::{ManualClock, MAX_BATCH, MAX_SHARDS};
 
@@ -658,9 +659,21 @@ mod tests {
                 "batch {batch}, {shards} shards → {r:?}"
             );
         }
+        // A spec naming the simulated oracle decodes (the codec keeps its
+        // tag) but does not resolve: the search would price it with the
+        // analyzer.
+        let simulated = spec(1).with_backend(OracleBackend::Simulated);
+        let r = server.handle(&Request::SubmitJob {
+            spec: simulated.encode(),
+            batch: 4,
+            shards: 2,
+            rounds: 1,
+        });
+        assert!(matches!(r, Response::Error { .. }), "simulated → {r:?}");
         assert!(server.jobs().is_empty(), "no job admitted");
         assert!(!server.store().job_dir(spec(1).job_digest()).exists());
         assert!(!server.store().job_dir(big.job_digest()).exists());
+        assert!(!server.store().job_dir(simulated.job_digest()).exists());
         for request in [
             Request::JobStatus { job: 42 },
             Request::CancelJob { job: 42 },

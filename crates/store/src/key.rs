@@ -1,7 +1,7 @@
 //! Canonical cache keys and the content digest they are addressed by.
 //!
 //! A [`CacheKey`] names one oracle answer: a specific architecture digest,
-//! evaluated against a specific device digest, lowered by a specific pass
+//! evaluated against a specific device digest, lowered by a specific
 //! pipeline, by a specific backend, under a specific payload schema. The key has a fixed-width canonical byte
 //! encoding ([`CacheKey::encode`]) so the on-disk format cannot drift with
 //! struct layout, and a derived [`CacheKey::path_digest`] that places the
@@ -61,8 +61,8 @@ pub struct CacheKey {
     pub arch_digest: u128,
     /// Digest of the canonical device/cluster encoding.
     pub device_digest: u128,
-    /// Fingerprint of the pass pipeline that lowers the architecture to
-    /// the stored answer (the canonical pipeline fingerprint).
+    /// Fingerprint of the pipeline that lowers the architecture to the
+    /// stored answer (the canonical pipeline fingerprint).
     pub pipeline_digest: u64,
     /// Backend that owns the payload format.
     pub backend: Backend,

@@ -265,11 +265,8 @@ fn checkpoint_counter_layout_is_pinned() {
             store_bytes: 29,
             pass_design_ns: 30,
             pass_graph_ns: 31,
-            pass_partition_ns: 32,
             pass_schedule_ns: 33,
             pass_sim_ns: 34,
-            partitions_built: 35,
-            cross_partition_events: 36,
             sample_time: ns(37),
             latency_time: ns(38),
             accuracy_time: ns(39),

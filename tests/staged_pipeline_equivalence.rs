@@ -18,16 +18,13 @@ use fnas_exec::Executor;
 use fnas_fpga::analyzer::analyze;
 use fnas_fpga::design::PipelineDesign;
 use fnas_fpga::device::{FpgaCluster, FpgaDevice};
-use fnas_fpga::passes::partition::PartitionedGraph;
 use fnas_fpga::sched::FnasScheduler;
-use fnas_fpga::sim::parallel::simulate_design_partitioned;
 use fnas_fpga::sim::simulate_design;
 use fnas_fpga::taskgraph::TileTaskGraph;
 use proptest::prelude::*;
 
 const INPUT: (usize, usize, usize) = (1, 28, 28);
 const WORKER_COUNTS: [usize; 4] = [0, 1, 2, 8];
-const PARTITION_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Strategy: a random MNIST-space child (4 layers, 8 decision indices).
 fn arb_arch() -> impl Strategy<Value = ChildArch> {
@@ -148,79 +145,6 @@ proptest! {
                 workers
             );
             prop_assert_eq!(eval.analyzer_calls(), buildable);
-        }
-    }
-
-    /// The partitioned parallel simulator settles to **byte-identical**
-    /// reports against the single-threaded event-heap simulator for random
-    /// architectures, at 1, 2 and 8 partitions and every worker count
-    /// (0 workers = inline sequential execution of the same region code).
-    #[test]
-    fn partitioned_sim_matches_the_single_threaded_simulator(arch in arb_arch()) {
-        let cluster = FpgaCluster::single(FpgaDevice::pynq());
-        let buildable = arch_to_network(&arch, INPUT)
-            .map_err(|e| e.to_string())
-            .and_then(|n| {
-                PipelineDesign::generate_on_cluster(&n, &cluster).map_err(|e| e.to_string())
-            });
-        // Unbuildable children exercise nothing here.
-        if let Ok(design) = buildable {
-            let graph = TileTaskGraph::from_design(&design).expect("task graph");
-            let schedule = FnasScheduler::new().schedule(&graph);
-            let reference = simulate_design(&design, &graph, &schedule).expect("reference sim");
-
-            for parts in PARTITION_COUNTS {
-                let partitions = PartitionedGraph::build(&graph, parts);
-                for workers in WORKER_COUNTS {
-                    let executor = Executor::with_workers(workers);
-                    let (report, stats) = simulate_design_partitioned(
-                        &design, &graph, &schedule, &partitions, &executor,
-                    )
-                    .expect("partitioned sim");
-                    prop_assert_eq!(
-                        &report, &reference,
-                        "partitioned sim diverged at {} partitions, {} workers",
-                        parts, workers
-                    );
-                    prop_assert_eq!(stats.partitions_built, partitions.num_regions() as u64);
-                }
-            }
-        }
-    }
-
-    /// The `partitioned-sim` latency backend is bit-identical to the
-    /// `simulated` backend on a fresh evaluator at every worker count.
-    #[test]
-    fn partitioned_backend_matches_the_simulated_backend(
-        archs in prop::collection::vec(arb_arch(), 1..4),
-    ) {
-        let cluster = FpgaCluster::single(FpgaDevice::pynq());
-        for workers in WORKER_COUNTS {
-            let simulated = LatencyEvaluator::on_cluster(cluster.clone(), INPUT);
-            let partitioned = LatencyEvaluator::on_cluster(cluster.clone(), INPUT);
-            let executor = Executor::with_workers(workers);
-            let results = executor.map(&archs, |_, arch| {
-                let s = simulated.simulated_latency(arch).map_err(|e| e.to_string());
-                let p = partitioned
-                    .partitioned_latency(arch)
-                    .map_err(|e| e.to_string());
-                (s.map(|m| m.get().to_bits()), p.map(|m| m.get().to_bits()))
-            });
-            for (child, (s, p)) in results.into_iter().enumerate() {
-                match (s, p) {
-                    (Ok(s), Ok(p)) => prop_assert_eq!(
-                        s, p,
-                        "backend mismatch: child {} workers {}",
-                        child, workers
-                    ),
-                    (Err(_), Err(_)) => {}
-                    (s, p) => prop_assert!(
-                        false,
-                        "error-shape mismatch: child {child} workers {workers}: \
-                         simulated {s:?} vs partitioned {p:?}"
-                    ),
-                }
-            }
         }
     }
 }

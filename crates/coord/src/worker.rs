@@ -8,10 +8,14 @@
 //! leaves nothing behind but a lease that will quietly expire.
 //!
 //! While a shard runs, a background thread heartbeats the lease at a
-//! configurable cadence. A heartbeat answered with `still_yours: false`
-//! (lease expired, shard possibly re-dispatched) does **not** stop the
-//! worker: its result is exactly as valid as any replica's, and the
-//! coordinator settles whichever arrives first.
+//! configurable cadence: one exchange per beat, never retried, since a
+//! missed beat costs at most the lease. The thread waits for each beat
+//! on a channel that the shard's end closes, so a finished shard goes
+//! on to `Submit` at once rather than after the rest of the period. A
+//! heartbeat answered with `still_yours: false` (lease expired, shard
+//! possibly re-dispatched) does **not** stop the worker: its result is
+//! exactly as valid as any replica's, and the coordinator settles
+//! whichever arrives first.
 //!
 //! The worker ([`run_fleet_worker`]) is **job-agnostic**: it sends
 //! [`Request::PollAny`] and resolves whatever job each `Assign` hands it
@@ -20,7 +24,7 @@
 //! `WrongJob`/`Stale` fences still police every submission.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -107,29 +111,6 @@ pub struct WorkerReport {
 /// Cap on the exponential backoff between request attempts.
 const MAX_RETRY_BACKOFF_MS: u64 = 2_000;
 
-/// Shared backoff bookkeeping: every sleep the worker (or its heartbeat
-/// thread) takes on behalf of a momentarily unavailable coordinator is
-/// recorded here and folded into the [`WorkerReport`] at exit.
-#[derive(Debug, Default)]
-struct RetryMeter {
-    retries_served: AtomicU64,
-    sleep_ms: AtomicU64,
-}
-
-impl RetryMeter {
-    fn note_sleep(&self, ms: u64) {
-        self.sleep_ms.fetch_add(ms, Ordering::Relaxed);
-    }
-    fn note_retry_served(&self, ms: u64) {
-        self.retries_served.fetch_add(1, Ordering::Relaxed);
-        self.sleep_ms.fetch_add(ms, Ordering::Relaxed);
-    }
-    fn fold_into(&self, report: &mut WorkerReport) {
-        report.retries_served = self.retries_served.load(Ordering::Relaxed);
-        report.retry_sleep_ms = self.sleep_ms.load(Ordering::Relaxed);
-    }
-}
-
 /// One request–response exchange, retried under the worker's budget.
 ///
 /// The *whole* exchange retries, not just the connect: a coordinator
@@ -139,14 +120,15 @@ impl RetryMeter {
 /// frames, rejections) never improve and propagate immediately. Backoff
 /// is exponential from `connect_backoff_ms`, capped at 2 s per sleep,
 /// so the default budget (20 attempts × 100 ms base) rides out roughly
-/// half a minute of coordinator downtime. Every sleep is metered.
-fn request(opts: &WorkerOptions, meter: &RetryMeter, req: &Request) -> Result<Response> {
+/// half a minute of coordinator downtime. Every sleep is metered in
+/// `report`.
+fn request(opts: &WorkerOptions, report: &mut WorkerReport, req: &Request) -> Result<Response> {
     let mut backoff = opts.connect_backoff_ms.max(1);
     let mut last: Option<FnasError> = None;
     for attempt in 0..opts.connect_retries.max(1) {
         if attempt > 0 {
             std::thread::sleep(Duration::from_millis(backoff));
-            meter.note_sleep(backoff);
+            report.retry_sleep_ms += backoff;
             backoff = backoff.saturating_mul(2).min(MAX_RETRY_BACKOFF_MS);
         }
         match call(&opts.addr, req) {
@@ -178,13 +160,11 @@ struct Assignment {
 /// Runs one leased shard end to end: background heartbeats, the shard
 /// itself, the durable artifact copy, and the submit loop with its
 /// `Retry`/`Stale` handling.
-#[allow(clippy::too_many_arguments)] // internal helper threading one lease's context
 fn run_assignment(
     base: &SearchConfig,
     opts: &BatchOptions,
     worker: &WorkerOptions,
     store: &Option<Arc<dyn fnas_store::Store>>,
-    meter: &Arc<RetryMeter>,
     scratch: &std::path::Path,
     a: Assignment,
     report: &mut WorkerReport,
@@ -192,12 +172,12 @@ fn run_assignment(
     let spec = ShardSpec::new(a.shard, a.shard_count)?;
     let path = scratch.join(shard_file(a.round, a.shard, a.shard_count));
 
-    // Heartbeat in the background for the duration of the run.
-    let stop = Arc::new(AtomicBool::new(false));
+    // Heartbeat in the background for the duration of the run. Dropping
+    // `running` ends the beat thread's wait at once.
+    let (running, ended) = mpsc::channel::<()>();
     let beat = {
-        let stop = Arc::clone(&stop);
-        let worker = worker.clone();
-        let meter = Arc::clone(meter);
+        let addr = worker.addr.clone();
+        let period = Duration::from_millis(worker.heartbeat_ms.max(10));
         let heartbeat = Request::Heartbeat {
             worker: worker.name.clone(),
             round: a.round,
@@ -207,19 +187,15 @@ fn run_assignment(
             fingerprint: a.fingerprint,
         };
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(worker.heartbeat_ms.max(10)));
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
+            while ended.recv_timeout(period) == Err(RecvTimeoutError::Timeout) {
                 // Failures are ignored: a missed heartbeat at
                 // worst costs the lease, never the result.
-                let _ = request(&worker, &meter, &heartbeat);
+                let _ = call(&addr, &heartbeat);
             }
         })
     };
     let ran = run_round_shard_stored(base, a.round, spec, &a.init, opts, &path, store.clone());
-    stop.store(true, Ordering::Relaxed);
+    drop(running);
     let _ = beat.join();
     let bytes = ran?;
     // Durable copy under the owning job's namespace: a shared
@@ -239,7 +215,7 @@ fn run_assignment(
         bytes,
     };
     loop {
-        match request(worker, meter, &submit)? {
+        match request(worker, report, &submit)? {
             Response::Accepted { fresh } => {
                 report.shards_run += 1;
                 if fresh {
@@ -254,7 +230,8 @@ fn run_assignment(
             Response::Retry { backoff_ms } => {
                 let ms = backoff_ms.clamp(10, 1_000);
                 std::thread::sleep(Duration::from_millis(ms));
-                meter.note_retry_served(ms);
+                report.retries_served += 1;
+                report.retry_sleep_ms += ms;
             }
             // The coordinator restarted since this lease was
             // issued; the recovered round settles the shard
@@ -316,30 +293,24 @@ pub fn run_fleet_worker(opts: &BatchOptions, worker: &WorkerOptions) -> Result<W
         Some(dir) => Some(Arc::new(fnas_store::DiskStore::open(dir)?)),
         None => None,
     };
-    let meter = Arc::new(RetryMeter::default());
     let mut report = WorkerReport::default();
     loop {
-        meter.fold_into(&mut report);
         let poll = Request::PollAny {
             worker: worker.name.clone(),
         };
-        let response = match request(worker, &meter, &poll) {
+        let response = match request(worker, &mut report, &poll) {
             Ok(r) => r,
             Err(e) if report.shards_run > 0 => {
                 // The endpoint finished and left while we were backing
                 // off; the run is over.
                 let _ = e;
                 report.coordinator_lost = true;
-                meter.fold_into(&mut report);
                 return Ok(report);
             }
             Err(e) => return Err(e),
         };
         match response {
-            Response::Finished => {
-                meter.fold_into(&mut report);
-                return Ok(report);
-            }
+            Response::Finished => return Ok(report),
             Response::Wait { backoff_ms } => {
                 std::thread::sleep(Duration::from_millis(backoff_ms.clamp(10, 1_000)));
             }
@@ -384,7 +355,6 @@ pub fn run_fleet_worker(opts: &BatchOptions, worker: &WorkerOptions) -> Result<W
                     &run_opts,
                     worker,
                     &store,
-                    &meter,
                     &scratch,
                     Assignment {
                         round,

@@ -44,7 +44,9 @@ use crate::Result;
 /// [`LatencyEvaluator::analyzer_calls`], [`LatencyEvaluator::sim_calls`])
 /// are monotonic `u64`s, wide enough not to overflow even on 32-bit
 /// targets, and count *uncached* stage executions — with single-flight
-/// memoisation each architecture contributes at most one to each.
+/// memoisation each architecture contributes at most one to each, plus
+/// one simulation per [`LatencyEvaluator::deploy`], whose traced
+/// simulation is not memoised.
 ///
 /// # Examples
 ///
@@ -329,7 +331,9 @@ impl LatencyEvaluator {
     /// The full deployment record for `arch`, reusing the memoised design,
     /// task graph, schedule and analyzer report — so deploying an
     /// architecture the search already evaluated costs only the traced
-    /// simulation.
+    /// simulation. That simulation is never memoised: each call counts
+    /// one in [`LatencyEvaluator::sim_calls`] and charges its wall time,
+    /// and any lowering it forced, to the stage meters.
     ///
     /// # Errors
     ///
@@ -337,7 +341,13 @@ impl LatencyEvaluator {
     pub fn deploy(&self, arch: &ChildArch) -> Result<DeploymentReport> {
         let artifacts = self.artifacts(arch)?;
         let report = self.analyzer_report(arch)?;
-        DeploymentReport::from_artifacts(arch, &artifacts, (*report).clone())
+        artifacts.scheduled()?;
+        self.charge_lowering(&artifacts);
+        let t0 = Instant::now();
+        let deployed = DeploymentReport::from_artifacts(arch, &artifacts, (*report).clone())?;
+        self.meters.pass_sim_ns.add(t0.elapsed().as_nanos() as u64);
+        self.sim_calls.fetch_add(1, Ordering::Relaxed);
+        Ok(deployed)
     }
 }
 
@@ -441,8 +451,9 @@ mod tests {
     #[test]
     fn design_is_built_at_most_once_across_all_paths() {
         // The acceptance pin for the staged pipeline: latency + simulated
-        // + deploy on the same architecture share one FNAS-Design run,
-        // one analyzer call and one simulation.
+        // + deploy on the same architecture share one FNAS-Design run and
+        // one analyzer call. The memoised simulation runs once; deploy's
+        // traced one is the second simulation.
         let eval = LatencyEvaluator::new(FpgaDevice::pynq(), (1, 14, 14));
         let a = arch(&[(5, 18), (3, 18)]);
         let analytic = eval.latency(&a).unwrap();
@@ -452,7 +463,7 @@ mod tests {
         let _ = eval.simulated_latency(&a).unwrap();
         assert_eq!(eval.design_builds(), 1, "design must be generated once");
         assert_eq!(eval.analyzer_calls(), 1, "analyzer must run once");
-        assert_eq!(eval.sim_calls(), 1, "simulator must run once");
+        assert_eq!(eval.sim_calls(), 2, "memoised simulation once, deploy once");
         assert_eq!(deployed.analytic_latency().get(), analytic.get());
         assert_eq!(deployed.simulated_latency().get(), simulated.get());
     }
@@ -576,5 +587,24 @@ mod tests {
         let second = eval.meters();
         assert_eq!(second.pass_graph_ns, first.pass_graph_ns);
         assert_eq!(second.pass_schedule_ns, first.pass_schedule_ns);
+    }
+
+    #[test]
+    fn deploy_charges_its_lowering_and_simulation() {
+        let eval = LatencyEvaluator::new(FpgaDevice::pynq(), (1, 14, 14));
+        let a = arch(&[(5, 18), (3, 18)]);
+        let _ = eval.latency(&a).unwrap();
+        let _ = eval.deploy(&a).unwrap();
+        let deployed = eval.meters();
+        assert!(
+            deployed.pass_graph_ns > 0 && deployed.pass_schedule_ns > 0 && deployed.pass_sim_ns > 0,
+            "{deployed:?}"
+        );
+        assert_eq!(eval.sim_calls(), 1);
+        // The lowering deploy forced was charged once, by deploy.
+        let _ = eval.simulated_latency(&a).unwrap();
+        let simulated = eval.meters();
+        assert_eq!(simulated.pass_graph_ns, deployed.pass_graph_ns);
+        assert_eq!(simulated.pass_schedule_ns, deployed.pass_schedule_ns);
     }
 }

@@ -22,6 +22,12 @@
 //!   `JobStatus`/`WatchProgress` answer from artifacts, never from live
 //!   round state, and `sha256sum jobs/<digest>/merged.ckpt` is the
 //!   byte-identity surface the CI `serve` job pins against solo runs.
+//! * **No polling.** [`Server::run`] blocks in `accept` and answers each
+//!   connection on a thread of its own, so no request waits out a poll
+//!   interval. With `expect_jobs` set, the state change that completes
+//!   the workload arms a `linger_ms` deadline (late pollers still hear
+//!   `Finished` until then); at it, a timer thread connects to the
+//!   listener to wake the `accept`, and `run` returns.
 //!
 //! **Determinism.** The server never touches shard bytes: assignments,
 //! fencing (`WrongJob`/`Stale`), barriers, and merges are all the
@@ -30,10 +36,9 @@
 //! regardless of how the fleet interleaves jobs (`tests/serve_jobs.rs`).
 //! A one-job server is the `fnas-coord serve` front end.
 
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use fnas::job::JobSpec;
@@ -129,11 +134,18 @@ struct JobEntry {
     deficit: u64,
 }
 
-/// Scheduler table: admission-ordered entries plus the DRR cursor.
+/// Scheduler table: admission-ordered entries plus the DRR cursor, and
+/// the lifecycle of [`Server::run`] that job states decide.
 #[derive(Debug, Default)]
 struct JobTable {
     entries: Vec<JobEntry>,
     cursor: usize,
+    /// When the expected workload last completed; `None` while an
+    /// expected job is still running. [`Server::run`] returns
+    /// `linger_ms` later.
+    done_at: Option<Instant>,
+    /// Whether [`Server::run`] is accepting connections.
+    serving: bool,
 }
 
 impl JobTable {
@@ -152,6 +164,9 @@ pub struct Server {
     root: PathBuf,
     store: Arc<DiskStore>,
     jobs: Mutex<JobTable>,
+    /// Signalled when the expected workload completes and when
+    /// [`Server::run`] stops; the linger timer waits on it.
+    workload_done: Condvar,
 }
 
 impl Server {
@@ -173,6 +188,7 @@ impl Server {
             root: root.to_path_buf(),
             store,
             jobs: Mutex::new(JobTable::default()),
+            workload_done: Condvar::new(),
         })
     }
 
@@ -303,6 +319,7 @@ impl Server {
                 state: JobState::Running,
                 deficit: 0,
             });
+            table.done_at = None;
             coordinator
         };
         // A resubmitted journal may recover straight into the finished
@@ -357,6 +374,7 @@ impl Server {
                     entry.state = JobState::Finished;
                 }
             }
+            self.arm_linger(&mut table);
         }
         self.publish_progress(job, coordinator);
     }
@@ -423,6 +441,7 @@ impl Server {
             JobState::Running | JobState::Cancelled => {
                 entry.state = JobState::Cancelled;
                 entry.deficit = 0;
+                self.arm_linger(&mut table);
                 Response::Cancelled { job }
             }
         }
@@ -493,36 +512,88 @@ impl Server {
             && table.entries.iter().all(|e| e.state != JobState::Running)
     }
 
+    /// Called after a job reached a terminal state: if that completed the
+    /// expected workload, arms the linger deadline and wakes the timer.
+    fn arm_linger(&self, table: &mut JobTable) {
+        if table.done_at.is_none() && self.all_expected_done(table) {
+            table.done_at = Some(Instant::now());
+            self.workload_done.notify_all();
+        }
+    }
+
+    /// How long the expected workload has yet to stay complete before
+    /// [`Server::run`] returns; `None` while it is not complete.
+    fn linger_left(&self, table: &JobTable) -> Option<Duration> {
+        let linger = Duration::from_millis(self.opts.linger_ms);
+        table.done_at.map(|at| linger.saturating_sub(at.elapsed()))
+    }
+
     /// Serves the protocol on `listener`. With `expect_jobs > 0`,
     /// returns once all expected jobs reached a terminal state and the
     /// linger elapsed; otherwise serves until the process dies.
+    ///
+    /// Blocks in `accept`. The linger timer, a thread that lives as long
+    /// as this call, wakes it at the deadline by connecting to the
+    /// listener itself.
     ///
     /// # Errors
     ///
     /// Listener I/O errors. Per-connection errors are contained to
     /// their connection.
     pub fn run(self: &Arc<Self>, listener: TcpListener) -> Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut done_at: Option<Instant> = None;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let me = Arc::clone(self);
-                    std::thread::spawn(move || me.handle_connection(stream));
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        self.lock_jobs().serving = true;
+        std::thread::scope(|s| {
+            s.spawn(|| self.wake_after_linger(wake));
+            let served = loop {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) => break Err(e.into()),
+                };
+                let me = Arc::clone(self);
+                std::thread::spawn(move || me.handle_connection(stream));
+                if self.linger_left(&self.lock_jobs()) == Some(Duration::ZERO) {
+                    break Ok(());
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+            };
+            self.lock_jobs().serving = false;
+            self.workload_done.notify_all();
+            served
+        })
+    }
+
+    /// The linger timer of [`Server::run`]: once the expected workload
+    /// has stayed complete for `linger_ms`, connects to `wake` and, as
+    /// the connecting side of every exchange does, closes first. That
+    /// returns `run`'s blocking `accept`. A workload that an admission
+    /// reopens arms a new deadline when it completes again.
+    fn wake_after_linger(&self, wake: SocketAddr) {
+        let mut woken_for = None;
+        let mut table = self.lock_jobs();
+        while table.serving {
+            let left = match table.done_at {
+                Some(at) if woken_for != Some(at) => self.linger_left(&table),
+                _ => None,
+            };
+            table = match left {
+                None => self.workload_done.wait(table).expect("serve jobs lock"),
+                Some(left) if !left.is_zero() => {
+                    let waited = self.workload_done.wait_timeout(table, left);
+                    waited.expect("serve jobs lock").0
                 }
-                Err(e) => return Err(e.into()),
-            }
-            if self.all_expected_done(&self.lock_jobs()) {
-                let at = *done_at.get_or_insert_with(Instant::now);
-                if at.elapsed() >= Duration::from_millis(self.opts.linger_ms) {
-                    return Ok(());
+                Some(_) => {
+                    woken_for = table.done_at;
+                    drop(table);
+                    drop(TcpStream::connect(wake));
+                    self.lock_jobs()
                 }
-            } else {
-                done_at = None;
-            }
+            };
         }
     }
 

@@ -19,10 +19,16 @@
 //!    answers `Retry`, both sides count it (coordinator telemetry and
 //!    worker report), and the deferred resubmission settles
 //!    byte-identically once a slot frees.
+//! 4. **Nothing waits on a timer it does not need.** A finished shard
+//!    submits without waiting out its worker's heartbeat period, and a
+//!    server whose expected workload is over returns from `run` once
+//!    the linger elapses, though nothing connects to wake it. Both tests
+//!    wait on their threads through channels with a timeout, so a lost
+//!    wake fails them instead of hanging the suite.
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use fnas::experiment::ExperimentPreset;
@@ -242,9 +248,28 @@ fn small_cfg(seed: u64) -> SearchConfig {
     SearchConfig::fnas(ExperimentPreset::mnist().with_trials(6), 10.0).with_seed(seed)
 }
 
-/// A one-job server (the `fnas-coord serve` shape) with `cfg` admitted
-/// as one shard × one round, its submit budget capped at one payload
-/// and a 35 ms backoff. Returns the server and the job's digest.
+/// A one-job server (the `fnas-coord serve` shape) under `opts`, with
+/// `cfg` admitted as `shards` shards × one round. Returns the server
+/// and the job's digest.
+fn one_job_server(
+    root: &std::path::Path,
+    cfg: &SearchConfig,
+    shards: u32,
+    opts: ServeOptions,
+) -> (Arc<Server>, u64) {
+    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
+    let server = Arc::new(Server::new(root, opts, clock).unwrap());
+    let job = accepted_job(server.handle(&Request::SubmitJob {
+        spec: cfg.job().encode(),
+        batch: BATCH,
+        shards,
+        rounds: 1,
+    }));
+    (server, job)
+}
+
+/// `cfg` as one shard on a one-job server whose submit budget is capped
+/// at one payload, with a 35 ms backoff.
 fn saturable_server(root: &std::path::Path, cfg: &SearchConfig) -> (Arc<Server>, u64) {
     let opts = ServeOptions {
         max_jobs: 1,
@@ -255,15 +280,7 @@ fn saturable_server(root: &std::path::Path, cfg: &SearchConfig) -> (Arc<Server>,
         lease: LeasePolicy::with_ttl_ms(5_000),
         max_buffered_rounds: 1,
     };
-    let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
-    let server = Arc::new(Server::new(root, opts, clock).unwrap());
-    let job = accepted_job(server.handle(&Request::SubmitJob {
-        spec: cfg.job().encode(),
-        batch: BATCH,
-        shards: 1,
-        rounds: 1,
-    }));
-    (server, job)
+    one_job_server(root, cfg, 1, opts)
 }
 
 /// A submit-saturated coordinator answers `Retry` over real TCP, counts
@@ -370,4 +387,113 @@ fn worker_rides_out_submit_saturation_and_meters_the_backoff() {
         "advised backoff must be metered: {report:?}"
     );
     std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Runs `f` on its own thread and hands its result back through a
+/// channel, so the test bounds its wait with `recv_timeout`.
+fn spawn_reporting<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> mpsc::Receiver<T> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx
+}
+
+/// One-job options with the given linger and a lease no test here
+/// outlives.
+fn lingering(linger_ms: u64) -> ServeOptions {
+    ServeOptions {
+        max_jobs: 1,
+        expect_jobs: 1,
+        quantum: 1,
+        linger_ms,
+        lease: LeasePolicy::with_ttl_ms(120_000),
+        ..ServeOptions::default()
+    }
+}
+
+/// A worker whose heartbeat period (30 s) dwarfs its shards submits
+/// each shard as soon as it is computed: the heartbeat thread's wait
+/// ends with the shard, so two shards finish in seconds, not in two
+/// periods.
+#[test]
+fn a_finished_shard_submits_without_waiting_out_its_heartbeat() {
+    let dir = tmp("prompt-submit");
+    let cfg = small_cfg(21);
+    let reference = run_rounds_local(&cfg, &opts(), 2, 1, &dir.join("local"))
+        .unwrap()
+        .to_bytes();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (server, job) = one_job_server(&dir.join("serve"), &cfg, 2, lingering(200));
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let serve = {
+        let server = Arc::clone(&server);
+        spawn_reporting(move || server.run(listener))
+    };
+    let worker = {
+        let mut w = WorkerOptions::new(addr, "slow-beat", dir.join("slow-beat"));
+        w.heartbeat_ms = 30_000;
+        spawn_reporting(move || run_fleet_worker(&opts(), &w))
+    };
+    let left = || deadline.saturating_duration_since(Instant::now());
+    let report = worker
+        .recv_timeout(left())
+        .expect("the worker held its shards for the heartbeat period")
+        .unwrap();
+    serve
+        .recv_timeout(left())
+        .expect("the server did not return after its linger")
+        .unwrap();
+    assert_eq!(report.fresh_results, 2, "{report:?}");
+    assert_eq!(
+        server.store().get_artifact(job, "merged.ckpt").unwrap(),
+        reference
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Once the expected workload is over, `run` lingers `linger_ms` for
+/// late pollers, who hear `Finished`, and then returns although no
+/// connection arrives to wake its blocking `accept`, whether the job
+/// ended while `run` served or before it started.
+#[test]
+fn run_returns_after_the_linger_when_nothing_connects() {
+    let linger = Duration::from_millis(500);
+    for cancel_before_run in [true, false] {
+        let dir = tmp(&format!("linger-{cancel_before_run}"));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let opts = lingering(linger.as_millis() as u64);
+        let (server, job) = one_job_server(&dir.join("serve"), &small_cfg(3), 1, opts);
+        let cancel = Request::CancelJob { job };
+
+        let t0 = Instant::now();
+        if cancel_before_run {
+            assert_eq!(server.handle(&cancel), Response::Cancelled { job });
+        }
+        let serve = {
+            let server = Arc::clone(&server);
+            spawn_reporting(move || server.run(listener))
+        };
+        if !cancel_before_run {
+            assert_eq!(rpc(&addr, &cancel), Response::Cancelled { job });
+        }
+        let poll = Request::PollAny {
+            worker: "late".to_string(),
+        };
+        assert_eq!(rpc(&addr, &poll), Response::Finished);
+        let limit = t0 + linger + Duration::from_secs(2);
+        serve
+            .recv_timeout(limit.saturating_duration_since(Instant::now()))
+            .expect("run did not return after the linger")
+            .unwrap();
+        assert!(
+            t0.elapsed() >= linger,
+            "run returned before the linger elapsed: {:?}",
+            t0.elapsed()
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }

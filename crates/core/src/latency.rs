@@ -523,19 +523,24 @@ mod tests {
 
     #[test]
     fn corrupt_store_record_falls_back_to_compute() {
-        use fnas_store::{Backend, DiskStore};
+        use fnas_store::DiskStore;
         let dir = scratch_store("corrupt");
         let a = arch(&[(5, 9)]);
         let store: Arc<dyn fnas_store::Store> = Arc::new(DiskStore::open(&dir).unwrap());
         let cold =
             LatencyEvaluator::new(FpgaDevice::pynq(), (1, 28, 28)).with_store(Arc::clone(&store));
         let expected = cold.latency(&a).unwrap();
+        assert_eq!(cold.store_counters().writes, 1);
+        drop((cold, store));
 
-        // Truncate the analytic record on disk.
-        let key = cold.store_key(&a, Backend::Analytic);
-        let path = dir.join(key.relative_path());
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        // Truncate the pack holding the analytic record, as a crash
+        // mid-append would.
+        let packs = fnas_store::disk::sorted_entries(&dir.join("objects")).unwrap();
+        let [pack] = packs.as_slice() else {
+            panic!("one pack expected, found {packs:?}");
+        };
+        let bytes = std::fs::read(pack).unwrap();
+        std::fs::write(pack, &bytes[..bytes.len() / 2]).unwrap();
 
         let warm = LatencyEvaluator::new(FpgaDevice::pynq(), (1, 28, 28))
             .with_store(Arc::new(DiskStore::open(&dir).unwrap()));
@@ -543,7 +548,7 @@ mod tests {
         assert_eq!(warm.design_builds(), 1, "bad record forces a recompute");
         let counters = warm.store_counters();
         assert_eq!(counters.misses, 1);
-        assert_eq!(counters.writes, 0, "existing path is not overwritten");
+        assert_eq!(counters.writes, 1, "the good copy is appended");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

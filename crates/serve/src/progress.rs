@@ -165,8 +165,11 @@ impl std::fmt::Display for JobProgress {
         }
         write!(
             f,
-            " | {} dup, {} expired, {} retries",
-            self.duplicate_results, self.leases_expired, self.retries_served
+            " | {} dup, {} expired, {} redispatched, {} retries",
+            self.duplicate_results,
+            self.leases_expired,
+            self.shards_redispatched,
+            self.retries_served
         )
     }
 }
@@ -226,5 +229,9 @@ mod tests {
         assert!(text.contains("0xdeadbeefc0ffee00"), "{text}");
         assert!(text.contains("1/2 rounds"), "{text}");
         assert!(text.contains("5x5:18"), "{text}");
+        assert!(
+            text.ends_with("1 dup, 1 expired, 2 redispatched, 3 retries"),
+            "{text}"
+        );
     }
 }

@@ -173,9 +173,9 @@ impl Server {
     /// Opens (creating if needed) a serve root. The root doubles as a
     /// [`DiskStore`] directory: per-job artifacts (progress, shard
     /// checkpoints, `merged.ckpt`) land under `jobs/<016x>/`, per-job
-    /// WALs under `jobs/<016x>/wal/`, and the oracle cache under
-    /// `objects/` — one directory to back up, `fnas-store stat` sees
-    /// all of it.
+    /// WALs under `jobs/<016x>/wal/`, and the oracle cache in
+    /// `objects/`, one append-only pack per fleet worker that wrote —
+    /// one directory to back up, `fnas-store stat` sees all of it.
     ///
     /// # Errors
     ///

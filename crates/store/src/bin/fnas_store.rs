@@ -6,13 +6,17 @@
 //! fnas-store gc     --dir DIR --max-bytes BYTES
 //! ```
 //!
-//! `verify` exits non-zero if any record fails integrity checks; leftover
-//! `.tmp-*` files from interrupted writes are reported but are not a
-//! failure (readers never see them). `gc` first deletes tmp litter, then
-//! evicts the oldest records until the store fits the byte budget.
+//! The cache lives in append-only packs, `objects/<pid>-<n>.pack`, one
+//! per store handle that wrote. `stat` counts distinct records and pack
+//! bytes. `verify` exits non-zero if a pack holds a damaged frame that a
+//! valid one follows; a torn tail (a crash mid-append) and files of the
+//! old one-file-per-record layout are reported but are not a failure
+//! (readers never see them). `gc` compacts: it keeps the newest records
+//! that fit the byte budget in one fresh pack, then deletes the other
+//! packs and the old layout's files and emptied directories.
 //!
-//! Maintenance (`verify`, `gc`) covers the content-addressed `objects/`
-//! tree only: the job-scoped `jobs/<digest>/` artifact namespace is
+//! Maintenance (`verify`, `gc`) covers `objects/` only: the job-scoped
+//! `jobs/<digest>/` artifact namespace is
 //! owned by the search jobs that wrote it, never by cache maintenance.
 //! The namespace is still accounted for — `stat` reports per-job
 //! artifact counts and bytes alongside the object tree, and `gc` states
@@ -70,8 +74,8 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
         "stat" => {
             let stat = store.stat().map_err(|err| format!("stat: {err}"))?;
             println!(
-                "{}: {} records, {} bytes, {} tmp files",
-                cli.dir, stat.records, stat.bytes, stat.tmp_files
+                "{}: {} records in {} packs, {} bytes, {} old-layout files",
+                cli.dir, stat.records, stat.packs, stat.bytes, stat.litter
             );
             println!(
                 "jobs: {} job dirs, {} artifacts, {} bytes",
@@ -91,11 +95,13 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
                 println!("corrupt: {}", path.display());
             }
             println!(
-                "{}: {} valid, {} corrupt, {} tmp files — {}",
+                "{}: {} valid frames, {} corrupt packs, {} torn-tail bytes, \
+                 {} old-layout files — {}",
                 cli.dir,
                 report.valid,
                 report.corrupt.len(),
-                report.tmp_files,
+                report.torn_bytes,
+                report.litter,
                 if report.is_ok() { "OK" } else { "FAILED" }
             );
             Ok(if report.is_ok() {
@@ -108,11 +114,12 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
             let budget = cli.max_bytes.expect("validated in parse_args");
             let report = store.gc(budget).map_err(|err| format!("gc: {err}"))?;
             println!(
-                "{}: evicted {} records ({} bytes), removed {} tmp files, {} bytes remain",
+                "{}: evicted {} records, reclaimed {} bytes, removed {} old-layout files, \
+                 {} bytes remain",
                 cli.dir,
                 report.evicted,
                 report.reclaimed_bytes,
-                report.tmp_removed,
+                report.litter_removed,
                 report.remaining_bytes
             );
             println!(

@@ -352,6 +352,23 @@ pub fn frame_prefix<'a>(
     Some(((header, payload), body + 8))
 }
 
+/// How many bytes the frame at the start of `bytes` spans, as far as the
+/// bytes present tell: its declared length once the length field is in,
+/// the shortest frame before that. `None` when `bytes` does not start
+/// with `magic` (or, if shorter, with a prefix of it). Nothing is
+/// checksummed.
+pub fn frame_len_hint(bytes: &[u8], magic: &[u8], header_len: usize) -> Option<u64> {
+    let head = magic.len().min(bytes.len());
+    if bytes[..head] != magic[..head] {
+        return None;
+    }
+    let at = magic.len() + header_len;
+    let payload = bytes.get(at..at + 4).map_or(0, |len| {
+        u32::from_le_bytes(len.try_into().expect("a four-byte slice"))
+    });
+    Some((at + 4 + 8) as u64 + u64::from(payload))
+}
+
 /// Decodes a frame that must span all of `bytes`; `None` on any defect,
 /// trailing bytes included.
 pub fn unframe<'a>(bytes: &'a [u8], magic: &[u8], header_len: usize) -> Option<Frame<'a>> {
@@ -407,6 +424,19 @@ mod tests {
         let bytes = [2, 0, 0, 0, 9, 9, 9, 9];
         assert_eq!(Reader::new(&bytes).count32(4), Err(DecodeError::Length(2)));
         assert_eq!(Reader::new(&bytes).count32(2), Ok(2));
+    }
+
+    #[test]
+    fn frame_len_hint_reads_the_declared_length() {
+        let bytes = frame(b"MAGC", b"hd", b"payload");
+        let hint = |b: &[u8]| frame_len_hint(b, b"MAGC", 2);
+        assert_eq!(hint(&bytes), Some(bytes.len() as u64));
+        // Before the length field is in, the shortest frame.
+        assert_eq!(hint(&bytes[..2]), Some(4 + 2 + 4 + 8));
+        assert_eq!(hint(&bytes[..9]), Some(4 + 2 + 4 + 8));
+        assert_eq!(hint(&bytes[..10]), Some(bytes.len() as u64));
+        assert_eq!(hint(b"MAX"), None);
+        assert_eq!(hint(b"XAGC and more"), None);
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //! evaluated against a specific device digest, lowered by a specific
 //! pipeline, by a specific backend, under a specific payload schema. The key has a fixed-width canonical byte
 //! encoding ([`CacheKey::encode`]) so the on-disk format cannot drift with
-//! struct layout, and a derived [`CacheKey::path_digest`] that places the
-//! record in a hex-sharded object tree.
-
-use std::path::PathBuf;
+//! struct layout, and a derived [`CacheKey::path_digest`] that the store's
+//! index looks records up by.
 
 use crate::bytes::{decode, digest128, DecodeError, Writer};
 
@@ -117,7 +115,7 @@ impl CacheKey {
         .ok()
     }
 
-    /// Digest of the canonical encoding; determines the on-disk path.
+    /// Digest of the canonical encoding; the store indexes records by it.
     pub fn path_digest(&self) -> u128 {
         digest128(&self.encode())
     }
@@ -125,15 +123,6 @@ impl CacheKey {
     /// Lower-case hex rendering of [`CacheKey::path_digest`] (32 chars).
     pub fn hex(&self) -> String {
         format!("{:032x}", self.path_digest())
-    }
-
-    /// Path of the record relative to the store root:
-    /// `objects/<first 2 hex chars>/<32 hex chars>.rec`.
-    pub fn relative_path(&self) -> PathBuf {
-        let hex = self.hex();
-        PathBuf::from("objects")
-            .join(&hex[..2])
-            .join(format!("{hex}.rec"))
     }
 }
 
@@ -163,14 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn path_is_hex_sharded() {
+    fn hex_renders_the_path_digest() {
         let key = CacheKey::new(42, 43, 44, Backend::Analytic);
-        let path = key.relative_path();
-        let rendered = path.to_string_lossy().into_owned();
-        assert!(rendered.starts_with("objects/"));
-        assert!(rendered.ends_with(".rec"));
         assert_eq!(key.hex().len(), 32);
-        assert!(rendered.contains(&key.hex()[..2]));
+        assert_eq!(u128::from_str_radix(&key.hex(), 16), Ok(key.path_digest()));
+        assert_eq!(key.hex(), key.hex().to_lowercase());
     }
 
     #[test]

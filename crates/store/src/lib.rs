@@ -9,17 +9,20 @@
 //! Design rules (see DESIGN.md §14):
 //!
 //! - **Canonical keys.** [`CacheKey`] has a fixed-width byte encoding and a
-//!   derived 128-bit path digest; records land at
-//!   `objects/<2 hex>/<32 hex>.rec`.
-//! - **Atomic publication.** Writes go through [`bytes::publish_atomic`]:
-//!   a `.tmp-*` file in the target directory, fsynced and `rename`d into
-//!   place — the same routine checkpoint saves and WAL spills use.
-//!   Readers never see a partial record.
+//!   derived 128-bit path digest, which an in-memory index maps to the
+//!   record's pack, offset and length.
+//! - **One pack per handle.** A [`DiskStore`] handle appends its records,
+//!   one frame per `write`, to its own `objects/<pid>-<n>.pack`, created
+//!   on its first `put`: a record costs an append, not a new file. The
+//!   pack is fsynced once, when the handle drops. A frame cut short at a
+//!   pack's end (a crash mid-append) is invisible.
 //! - **Total reads.** A bad record (truncated, bit-flipped, wrong key,
 //!   wrong schema version) is a miss, never a panic, and never a wrong
 //!   answer: records embed their full key and a checksum.
 //! - **Cache, not truth.** Every store failure is soft; the oracle can
-//!   always recompute.
+//!   always recompute. Durable data keeps its fsync: job artifacts go
+//!   through [`bytes::publish_atomic`], as checkpoint saves and WAL
+//!   spills do.
 //!
 //! The crate is dependency-free and does not know what the payloads mean;
 //! backends (the analytic model, the simulator) define their own payload

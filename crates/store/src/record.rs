@@ -1,6 +1,7 @@
 //! Versioned record framing with checksums.
 //!
-//! A record file is one [`crate::bytes::frame`], fully self-describing:
+//! A record is one [`crate::bytes::frame`], fully self-describing, and a
+//! pack is a run of them:
 //!
 //! ```text
 //! magic "FNASTOR1"  (8 bytes, framing version baked in)
@@ -14,7 +15,7 @@
 //! garbage, key mismatch, schema-version skew, checksum failure — yields
 //! `None` (a cache miss), never a panic. The embedded key is compared
 //! against the key the reader asked for, so even a path-digest collision or
-//! a misplaced file degrades to a miss.
+//! a misplaced frame degrades to a miss.
 
 use crate::bytes::{frame, unframe};
 use crate::key::{CacheKey, ENCODED_KEY_LEN};
@@ -39,7 +40,7 @@ pub fn decode_record(bytes: &[u8], key: &CacheKey) -> Option<Vec<u8>> {
 }
 
 /// Unframes record bytes without an expected key, returning the embedded
-/// key and payload. Used by `fnas-store verify`.
+/// key and payload; [`decode_record`] then checks the key.
 pub fn decode_any_record(bytes: &[u8]) -> Option<(CacheKey, Vec<u8>)> {
     let (key, payload) = unframe(bytes, &RECORD_MAGIC, ENCODED_KEY_LEN)?;
     Some((CacheKey::decode(key)?, payload.to_vec()))

@@ -12,6 +12,7 @@ use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use fnas::experiment::ExperimentPreset;
 use fnas::search::{BatchOptions, SearchConfig, ShardSpec};
@@ -25,9 +26,15 @@ use fnas_coord::{
 use fnas_serve::{ServeOptions, Server};
 use fnas_store::Store;
 use proptest::prelude::*;
+use tests_integration::{spawn_bounded, Bounded};
 
 const SHARDS: u32 = 3;
 const ROUNDS: u64 = 2;
+
+/// How long a test waits for its server and workers: many times what a
+/// whole test takes on a loaded two-vCPU machine. A lost wake fails the
+/// test, naming the thread, instead of hanging the suite.
+const BOUND: Duration = Duration::from_secs(60);
 
 fn base() -> SearchConfig {
     SearchConfig::fnas(ExperimentPreset::mnist().with_trials(12), 10.0).with_seed(77)
@@ -77,13 +84,13 @@ fn fleet(
     dir: &Path,
     names: &[&str],
     heartbeat_ms: u64,
-) -> Vec<std::thread::JoinHandle<fnas::Result<fnas_coord::WorkerReport>>> {
+) -> Vec<Bounded<fnas::Result<fnas_coord::WorkerReport>>> {
     names
         .iter()
         .map(|name| {
             let mut w = WorkerOptions::new(addr, *name, dir.join(name));
             w.heartbeat_ms = heartbeat_ms;
-            std::thread::spawn(move || run_fleet_worker(&opts(), &w))
+            spawn_bounded(*name, move || run_fleet_worker(&opts(), &w))
         })
         .collect()
 }
@@ -117,9 +124,10 @@ fn killed_worker_coordinated_run_matches_sequential_bytes() {
     let mut lease = LeasePolicy::with_ttl_ms(300);
     lease.straggle_after_ms = 150;
     let (server, job) = one_job_server(&dir.join("serve"), lease, ROUNDS);
+    let deadline = Instant::now() + BOUND;
     let serve = {
         let server = Arc::clone(&server);
-        std::thread::spawn(move || server.run(listener))
+        spawn_bounded("server", move || server.run(listener))
     };
 
     // The first assignment (round 0, shard 0) is taken and abandoned.
@@ -129,10 +137,10 @@ fn killed_worker_coordinated_run_matches_sequential_bytes() {
     // Two real workers serve the rest of the run between them.
     let workers = fleet(&addr, &dir, &["w1", "w2"], 50);
 
-    serve.join().unwrap().unwrap();
+    serve.join_by(deadline).unwrap();
     let mut fresh = 0;
     for handle in workers {
-        let report = handle.join().unwrap().unwrap();
+        let report = handle.join_by(deadline).unwrap();
         assert!(report.shards_run > 0, "both workers should contribute");
         fresh += report.fresh_results;
     }
@@ -174,16 +182,17 @@ fn straggler_replicas_settle_first_wins_and_match_sequential_bytes() {
     let mut lease = LeasePolicy::with_ttl_ms(5_000);
     lease.straggle_after_ms = 20;
     let (server, job) = one_job_server(&dir.join("serve"), lease, 1);
+    let deadline = Instant::now() + BOUND;
     let serve = {
         let server = Arc::clone(&server);
-        std::thread::spawn(move || server.run(listener))
+        spawn_bounded("server", move || server.run(listener))
     };
     let workers = fleet(&addr, &dir, &["w1", "w2", "w3"], 25);
 
-    serve.join().unwrap().unwrap();
+    serve.join_by(deadline).unwrap();
     let mut duplicates = 0;
     for handle in workers {
-        let report = handle.join().unwrap().unwrap();
+        let report = handle.join_by(deadline).unwrap();
         duplicates += report.duplicate_results;
     }
 
@@ -296,9 +305,10 @@ fn kill_restart_recovery(worker_names: &[&str], tag: &str) {
     let coord_b = server_b.coordinator(job).unwrap();
     assert_eq!(coord_b.epoch(), 1, "restart takes the next epoch");
     assert_eq!(coord_b.rounds_recovered(), 1, "round 0 replays from spills");
+    let deadline = Instant::now() + BOUND;
     let serve_b = {
         let server = Arc::clone(&server_b);
-        std::thread::spawn(move || server.run(listener_b))
+        spawn_bounded("server B", move || server.run(listener_b))
     };
 
     // A result dispatched by incarnation A arrives late, carrying A's
@@ -320,10 +330,10 @@ fn kill_restart_recovery(worker_names: &[&str], tag: &str) {
     assert_eq!(stale, Response::Stale { epoch: 1 });
 
     let workers = fleet(&addr_b, &dir, worker_names, 50);
-    serve_b.join().unwrap().unwrap();
+    serve_b.join_by(deadline).unwrap();
     let mut fresh = 0;
     for handle in workers {
-        fresh += handle.join().unwrap().unwrap().fresh_results;
+        fresh += handle.join_by(deadline).unwrap().fresh_results;
     }
 
     assert_eq!(
@@ -478,7 +488,9 @@ fn worker_rejects_an_assignment_whose_spec_names_another_job() {
             // A worker that wrongly runs the shard gives up after one
             // unanswered request instead of the whole retry budget.
             w.connect_retries = 1;
-            std::thread::spawn(move || run_fleet_worker(&opts(), &w))
+            spawn_bounded(format!("worker ({case})"), move || {
+                run_fleet_worker(&opts(), &w)
+            })
         };
         let mut seen = Vec::new();
         let (stream, _) = listener.accept().unwrap();
@@ -497,7 +509,10 @@ fn worker_rejects_an_assignment_whose_spec_names_another_job() {
                 init: init.clone(),
             }
         });
-        let msg = worker.join().unwrap().unwrap_err().to_string();
+        let msg = worker
+            .join_by(Instant::now() + BOUND)
+            .unwrap_err()
+            .to_string();
         assert!(msg.contains(&format!("{job:#018x}")), "{case}: {msg}");
         if case == "other job" {
             assert!(msg.contains(&format!("{other_job:#018x}")), "{case}: {msg}");

@@ -22,13 +22,15 @@
 //! 4. **Nothing waits on a timer it does not need.** A finished shard
 //!    submits without waiting out its worker's heartbeat period, and a
 //!    server whose expected workload is over returns from `run` once
-//!    the linger elapses, though nothing connects to wake it. Both tests
-//!    wait on their threads through channels with a timeout, so a lost
-//!    wake fails them instead of hanging the suite.
+//!    the linger elapses, though nothing connects to wake it.
+//!
+//! Every test waits for its server and worker threads with a bound
+//! ([`spawn_bounded`]), so a lost wake fails it instead of hanging the
+//! suite.
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fnas::experiment::ExperimentPreset;
@@ -40,10 +42,15 @@ use fnas_coord::{
 };
 use fnas_serve::{client, JobProgress, JobState, ServeOptions, Server};
 use fnas_store::Store;
+use tests_integration::spawn_bounded;
 
 const SHARDS: u32 = 2;
 const ROUNDS: u64 = 2;
 const BATCH: u32 = 3;
+
+/// How long a test waits for its server and workers: many times what a
+/// whole test takes on a loaded two-vCPU machine.
+const BOUND: Duration = Duration::from_secs(60);
 
 /// Job A: the usual worked-example search.
 fn cfg_a() -> SearchConfig {
@@ -134,9 +141,10 @@ fn two_jobs_one_fleet_match_solo_runs_byte_identical_with_worker_kill() {
     let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
     let root = dir.join("serve");
     let server = Arc::new(Server::new(&root, serve_opts, clock).unwrap());
+    let deadline = Instant::now() + BOUND;
     let serve = {
         let server = Arc::clone(&server);
-        std::thread::spawn(move || server.run(listener))
+        spawn_bounded("server", move || server.run(listener))
     };
 
     // Admit jobs A and B, plus a job C that is cancelled before any
@@ -196,14 +204,14 @@ fn two_jobs_one_fleet_match_solo_runs_byte_identical_with_worker_kill() {
         .map(|name| {
             let mut w = WorkerOptions::new(addr.clone(), name, dir.join(name));
             w.heartbeat_ms = 50;
-            std::thread::spawn(move || run_fleet_worker(&opts(), &w))
+            spawn_bounded(name, move || run_fleet_worker(&opts(), &w))
         })
         .collect();
 
-    serve.join().unwrap().unwrap();
+    serve.join_by(deadline).unwrap();
     let mut fresh = 0;
     for handle in workers {
-        let report = handle.join().unwrap().unwrap();
+        let report = handle.join_by(deadline).unwrap();
         assert!(
             report.shards_run > 0,
             "every fleet worker should contribute"
@@ -308,9 +316,10 @@ fn saturated_submit_is_answered_retry_and_resubmission_settles() {
     let addr = listener.local_addr().unwrap().to_string();
     let (server, job) = saturable_server(&dir.join("serve"), &cfg);
     let coord = server.coordinator(job).unwrap();
+    let deadline = Instant::now() + BOUND;
     let serve = {
         let server = Arc::clone(&server);
-        std::thread::spawn(move || server.run(listener))
+        spawn_bounded("server", move || server.run(listener))
     };
 
     // Saturate the submit budget: `--max-buffered-rounds 1` × 1 shard
@@ -333,7 +342,7 @@ fn saturated_submit_is_answered_retry_and_resubmission_settles() {
 
     drop(slot);
     assert_eq!(rpc(&addr, &submit), Response::Accepted { fresh: true });
-    serve.join().unwrap().unwrap();
+    serve.join_by(deadline).unwrap();
     let merged = server.store().get_artifact(job, "merged.ckpt").unwrap();
     assert_eq!(merged, reference);
     std::fs::remove_dir_all(dir).unwrap();
@@ -355,29 +364,29 @@ fn worker_rides_out_submit_saturation_and_meters_the_backoff() {
     let addr = listener.local_addr().unwrap().to_string();
     let (server, job) = saturable_server(&dir.join("serve"), &cfg);
     let coord = server.coordinator(job).unwrap();
+    let deadline = Instant::now() + BOUND;
     let serve = {
         let server = Arc::clone(&server);
-        std::thread::spawn(move || server.run(listener))
+        spawn_bounded("server", move || server.run(listener))
     };
     let slot = coord.try_admit_submit().unwrap();
 
     let worker = {
         let mut w = WorkerOptions::new(addr.clone(), "patient", dir.join("patient"));
         w.heartbeat_ms = 50;
-        std::thread::spawn(move || run_fleet_worker(&opts(), &w))
+        spawn_bounded("patient", move || run_fleet_worker(&opts(), &w))
     };
 
     // Hold the slot until the worker has demonstrably been deferred at
     // least once, then let it through — event-driven, not timed.
-    let deadline = Instant::now() + Duration::from_secs(30);
     while coord.telemetry().snapshot().retries_served == 0 {
         assert!(Instant::now() < deadline, "worker never hit the cap");
         std::thread::sleep(Duration::from_millis(10));
     }
     drop(slot);
 
-    serve.join().unwrap().unwrap();
-    let report = worker.join().unwrap().unwrap();
+    serve.join_by(deadline).unwrap();
+    let report = worker.join_by(deadline).unwrap();
     let merged = server.store().get_artifact(job, "merged.ckpt").unwrap();
     assert_eq!(merged, reference);
     assert_eq!(report.fresh_results, 1);
@@ -387,16 +396,6 @@ fn worker_rides_out_submit_saturation_and_meters_the_backoff() {
         "advised backoff must be metered: {report:?}"
     );
     std::fs::remove_dir_all(dir).unwrap();
-}
-
-/// Runs `f` on its own thread and hands its result back through a
-/// channel, so the test bounds its wait with `recv_timeout`.
-fn spawn_reporting<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> mpsc::Receiver<T> {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx
 }
 
 /// One-job options with the given linger and a lease no test here
@@ -428,24 +427,19 @@ fn a_finished_shard_submits_without_waiting_out_its_heartbeat() {
     let (server, job) = one_job_server(&dir.join("serve"), &cfg, 2, lingering(200));
 
     let deadline = Instant::now() + Duration::from_secs(10);
+    // A worker that held its shards for its heartbeat period, or a
+    // server that did not return after its linger, misses the deadline.
     let serve = {
         let server = Arc::clone(&server);
-        spawn_reporting(move || server.run(listener))
+        spawn_bounded("server", move || server.run(listener))
     };
     let worker = {
         let mut w = WorkerOptions::new(addr, "slow-beat", dir.join("slow-beat"));
         w.heartbeat_ms = 30_000;
-        spawn_reporting(move || run_fleet_worker(&opts(), &w))
+        spawn_bounded("slow-beat", move || run_fleet_worker(&opts(), &w))
     };
-    let left = || deadline.saturating_duration_since(Instant::now());
-    let report = worker
-        .recv_timeout(left())
-        .expect("the worker held its shards for the heartbeat period")
-        .unwrap();
-    serve
-        .recv_timeout(left())
-        .expect("the server did not return after its linger")
-        .unwrap();
+    let report = worker.join_by(deadline).unwrap();
+    serve.join_by(deadline).unwrap();
     assert_eq!(report.fresh_results, 2, "{report:?}");
     assert_eq!(
         server.store().get_artifact(job, "merged.ckpt").unwrap(),
@@ -475,7 +469,7 @@ fn run_returns_after_the_linger_when_nothing_connects() {
         }
         let serve = {
             let server = Arc::clone(&server);
-            spawn_reporting(move || server.run(listener))
+            spawn_bounded("server", move || server.run(listener))
         };
         if !cancel_before_run {
             assert_eq!(rpc(&addr, &cancel), Response::Cancelled { job });
@@ -484,11 +478,7 @@ fn run_returns_after_the_linger_when_nothing_connects() {
             worker: "late".to_string(),
         };
         assert_eq!(rpc(&addr, &poll), Response::Finished);
-        let limit = t0 + linger + Duration::from_secs(2);
-        serve
-            .recv_timeout(limit.saturating_duration_since(Instant::now()))
-            .expect("run did not return after the linger")
-            .unwrap();
+        serve.join_by(t0 + linger + Duration::from_secs(2)).unwrap();
         assert!(
             t0.elapsed() >= linger,
             "run returned before the linger elapsed: {:?}",

@@ -9,6 +9,11 @@
 //! always `"--flag needs a value"`, a malformed one is always
 //! `"--flag: bad value \"...\""`.
 //!
+//! `fnas-coord`, `fnas-serve` and `fnas-store` also write stdout through
+//! [`write_line`] and [`emit`]: a reader that leaves early
+//! (`fnas-serve watch … | head -n 1`) ends the bin with exit 0, where
+//! `println!` would panic with exit 101.
+//!
 //! This crate is deliberately dependency-free (it sits below both `fnas`
 //! and `fnas-store` in the workspace graph). The job-aware layer — which
 //! flags make up a search job, and how they resolve to a config — lives
@@ -16,6 +21,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::io::{self, Write};
+use std::process::ExitCode;
 
 /// Parses a flag's value with the canonical error message shared by
 /// every bin: `"--flag: bad value \"...\""`.
@@ -85,6 +93,35 @@ impl<'a> Args<'a> {
     }
 }
 
+/// Writes `msg` and a newline to `out` and flushes it. `Ok(false)` means
+/// the reader closed the pipe early (`… | grep -q`): it has what it
+/// wanted, so the caller stops writing and exits 0.
+///
+/// # Errors
+///
+/// Any other write error.
+pub fn write_line(out: &mut impl Write, msg: &str) -> io::Result<bool> {
+    match writeln!(out, "{msg}").and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// Writes a bin's closing `msg` with [`write_line`] and turns the outcome
+/// into its exit code: written or the reader gone early is a success; any
+/// other write error is reported on stderr as `<prog>: writing stdout:
+/// <error>` and fails the exit.
+pub fn emit(out: &mut impl Write, prog: &str, msg: &str) -> ExitCode {
+    match write_line(out, msg) {
+        Ok(_) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{prog}: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,5 +160,31 @@ mod tests {
             parse_num::<u64>("--seed", "0x7"),
             Err("--seed: bad value \"0x7\"".to_string())
         );
+    }
+
+    /// A stdout whose reader is gone, or that fails some other way.
+    struct Closed(io::ErrorKind);
+
+    impl Write for Closed {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_is_a_clean_exit_and_other_write_errors_fail() {
+        let mut out = Vec::new();
+        assert_eq!(emit(&mut out, "fnas-x", "3 settlements"), ExitCode::SUCCESS);
+        assert_eq!(out, b"3 settlements\n");
+        let broken = io::ErrorKind::BrokenPipe;
+        assert!(!write_line(&mut Closed(broken), "x").unwrap());
+        assert_eq!(emit(&mut Closed(broken), "fnas-x", "x"), ExitCode::SUCCESS);
+        let full = io::ErrorKind::StorageFull;
+        assert!(write_line(&mut Closed(full), "x").is_err());
+        assert_eq!(emit(&mut Closed(full), "fnas-x", "x"), ExitCode::FAILURE);
     }
 }

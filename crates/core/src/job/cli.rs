@@ -12,11 +12,12 @@
 //! init). `fnas-worker` takes no job flags: each assignment carries the
 //! job's canonical spec bytes.
 //!
-//! The low-level helpers ([`parse_num`], [`Args`]) are re-exported from
-//! `fnas-cliutil`, the dependency-free crate the `fnas-store` bin (which
-//! sits *below* this crate in the workspace graph) shares.
+//! The low-level helpers ([`parse_num`], [`Args`], and [`write_line`] and
+//! [`emit`] for stdout) are re-exported from `fnas-cliutil`, the
+//! dependency-free crate the `fnas-store` bin (which sits *below* this
+//! crate in the workspace graph) shares.
 
-pub use fnas_cliutil::{parse_num, Args};
+pub use fnas_cliutil::{emit, parse_num, write_line, Args};
 
 use super::JobSpec;
 

@@ -221,7 +221,7 @@ impl PipelineDesign {
                 let tiling = choose_tiling(&shape, dsp, bram_each, bw_each)?;
                 layers.push((
                     layer_idx,
-                    make_layer_design(shape, tiling, dev_idx, device, bw_each),
+                    make_layer_design(shape, tiling, dev_idx, bw_each),
                 ));
             }
         }

@@ -1,7 +1,7 @@
 //! Cross-layer placement decisions: device packing, DSP budgeting and the
 //! spatial-grid harmonisation that makes the task graph well-defined.
 
-use crate::device::{FpgaCluster, FpgaDevice};
+use crate::device::FpgaCluster;
 use crate::layer::{ConvShape, Network};
 use crate::{FpgaError, Result};
 
@@ -12,10 +12,8 @@ pub(super) fn make_layer_design(
     shape: ConvShape,
     tiling: Tiling,
     device: usize,
-    dev: &FpgaDevice,
     bw_each: f64,
 ) -> LayerDesign {
-    let _ = dev;
     let compute = (shape.kernel_h() * shape.kernel_w() * tiling.tr * tiling.tc) as u64;
     let transfer = (transfer_bytes_per_task(&shape, &tiling) as f64 / bw_each).ceil() as u64;
     LayerDesign {
@@ -177,7 +175,7 @@ pub(super) fn harmonize_spatial_grid(layers: &mut [LayerDesign], cluster: &FpgaC
         let tiling = Tiling::new(layer.tiling.tm, layer.tiling.tn, tr, tc);
         let dev = &cluster.devices()[layer.device];
         let bw_each = dev.bandwidth_bytes_per_cycle() / per_device[layer.device].max(1) as f64;
-        *layer = make_layer_design(layer.shape, tiling, layer.device, dev, bw_each);
+        *layer = make_layer_design(layer.shape, tiling, layer.device, bw_each);
     }
     debug_assert!(
         layers
@@ -191,6 +189,7 @@ pub(super) fn harmonize_spatial_grid(layers: &mut [LayerDesign], cluster: &FpgaC
 mod tests {
     use super::super::tests::net4;
     use super::*;
+    use crate::device::FpgaDevice;
 
     #[test]
     fn dsp_budgets_are_proportional_to_macs() {

@@ -1,6 +1,8 @@
 //! Per-layer roofline tiling search: buffer sizing, candidate enumeration
 //! and the `⟨Tm, Tn, Tr, Tc⟩` selection of Zhang et al. (FPGA'15) \[13\].
 
+use std::cmp::Reverse;
+
 use crate::layer::ConvShape;
 use crate::{Cycles, FpgaError, Result};
 
@@ -40,7 +42,7 @@ fn standalone_cycles(shape: &ConvShape, t: &Tiling, bw: f64) -> u64 {
 
 /// Enumerates the feasible tilings of one layer under explicit budgets and
 /// returns the best `top_n`, sorted by standalone cycle count (ties broken
-/// towards smaller per-task latency, then more DSPs).
+/// towards smaller per-task latency, then more DSPs, then a larger `Tm`).
 ///
 /// This exposes FNAS-Design's inner search for design-space exploration:
 /// the first entry is exactly what
@@ -68,119 +70,102 @@ pub fn explore_tilings(
     bandwidth_bytes_per_cycle: f64,
     top_n: usize,
 ) -> Vec<(Tiling, Cycles)> {
-    let mut candidates: Vec<(Tiling, u64)> = Vec::new();
-    let m = shape.out_channels();
-    let n = shape.in_channels();
-    for tm in 1..=m.min(dsp_budget) {
-        let tn_cap = n.min(dsp_budget / tm);
-        for tn in 1..=tn_cap {
-            let Some((tr0, tc0)) = fit_spatial(shape, tm, tn, bram_budget) else {
-                continue;
-            };
-            for (tr, tc) in spatial_candidates(tr0, tc0) {
-                let t = Tiling::new(tm, tn, tr, tc);
-                if bram_usage(shape, &t) > bram_budget {
-                    continue;
-                }
-                candidates.push((t, standalone_cycles(shape, &t, bandwidth_bytes_per_cycle)));
-            }
-        }
-    }
-    candidates.sort_by_key(|&(t, cycles)| {
-        let et = (shape.kernel_h() * shape.kernel_w() * t.tr * t.tc) as u64;
-        (
-            cycles,
-            et,
-            std::cmp::Reverse(t.dsp_slices()),
-            std::cmp::Reverse(t.tm),
-        )
-    });
-    candidates.dedup_by_key(|&mut (t, _)| t);
-    candidates
+    let mut ranked = Vec::new();
+    for_each_candidate(
+        shape,
+        dsp_budget,
+        bram_budget,
+        bandwidth_bytes_per_cycle,
+        |c| ranked.push(c),
+    );
+    // Stable, so equal ranks keep enumeration order and the head is
+    // `choose_tiling`'s pick.
+    ranked.sort_by_key(|c| rank(shape, c));
+    ranked
         .into_iter()
         .take(top_n)
         .map(|(t, c)| (t, Cycles::new(c)))
         .collect()
 }
 
-/// Chooses `⟨Tm, Tn, Tr, Tc⟩` minimising the standalone cycle count.
+/// Chooses `⟨Tm, Tn, Tr, Tc⟩` minimising the standalone cycle count: the
+/// first candidate of least [`rank`].
 pub(super) fn choose_tiling(
     shape: &ConvShape,
     dsp_budget: usize,
     bram_budget: usize,
     bw: f64,
 ) -> Result<Tiling> {
-    let m = shape.out_channels();
-    let n = shape.in_channels();
-    let mut best: Option<(u64, Tiling)> = None;
-    for tm in 1..=m.min(dsp_budget) {
-        let tn_cap = n.min(dsp_budget / tm);
-        if tn_cap == 0 {
-            continue;
+    let mut best: Option<(Tiling, u64)> = None;
+    for_each_candidate(shape, dsp_budget, bram_budget, bw, |c| {
+        if best.is_none_or(|b| rank(shape, &c) < rank(shape, &b)) {
+            best = Some(c);
         }
-        for tn in 1..=tn_cap {
-            let Some((tr0, tc0)) = fit_spatial(shape, tm, tn, bram_budget) else {
-                continue;
-            };
-            // Refinement: whole-plane tiles minimise ceil-rounding but
-            // serialise the pipeline (a consumer waits for full-plane OFM
-            // tiles). Among spatial tilings with the same standalone cycle
-            // count, smaller tiles give smaller per-task latency and hence
-            // smaller inter-layer start deltas (Eqs. 3/4), so prefer them.
-            for (tr, tc) in spatial_candidates(tr0, tc0) {
-                let t = Tiling::new(tm, tn, tr, tc);
-                if bram_usage(shape, &t) > bram_budget {
-                    continue;
-                }
-                let cycles = standalone_cycles(shape, &t, bw);
-                let et = (shape.kernel_h() * shape.kernel_w() * t.tr * t.tc) as u64;
-                let better = match &best {
-                    None => true,
-                    Some((c, bt)) => {
-                        let bet = (shape.kernel_h() * shape.kernel_w() * bt.tr * bt.tc) as u64;
-                        cycles < *c
-                            || (cycles == *c && et < bet)
-                            || (cycles == *c && et == bet && t.dsp_slices() > bt.dsp_slices())
-                            || (cycles == *c
-                                && et == bet
-                                && t.dsp_slices() == bt.dsp_slices()
-                                && t.tm > bt.tm)
-                    }
-                };
-                if better {
-                    best = Some((cycles, t));
-                }
-            }
-        }
-    }
-    best.map(|(_, t)| t)
-        .ok_or(FpgaError::InsufficientResources {
+    });
+    best.map(|(t, _)| t)
+        .ok_or_else(|| FpgaError::InsufficientResources {
             resource: "BRAM bytes",
             needed: bram_usage(shape, &Tiling::new(1, 1, 1, 1)) as u64,
             available: bram_budget as u64,
         })
 }
 
-/// Spatial-tiling refinement candidates derived from the BRAM-maximal
-/// `(tr0, tc0)`: the same extents at 1×, ½× and ¼× on each axis.
-fn spatial_candidates(tr0: usize, tc0: usize) -> Vec<(usize, usize)> {
-    let steps = |x: usize| {
-        let mut v = vec![x];
-        if x >= 2 {
-            v.push(x.div_ceil(2));
-        }
-        if x >= 4 {
-            v.push(x.div_ceil(4));
-        }
-        v
-    };
-    let mut out = Vec::new();
-    for &tr in &steps(tr0) {
-        for &tc in &steps(tc0) {
-            out.push((tr, tc));
+/// Visits every feasible tiling of one layer with its standalone cycle
+/// count, in search order: `Tm` outer, `Tn` inner (`Tm·Tn` within the DSP
+/// budget), then each [`spatial_candidates`] refinement of the
+/// BRAM-maximal spatial tile whose buffers fit the BRAM budget. Every
+/// tiling is visited once, and the enumeration allocates nothing: an
+/// ImageNet design visits thousands of `⟨Tm, Tn⟩` pairs, and per-pair heap
+/// traffic does not scale across threads.
+fn for_each_candidate(
+    shape: &ConvShape,
+    dsp_budget: usize,
+    bram_budget: usize,
+    bw: f64,
+    mut visit: impl FnMut((Tiling, u64)),
+) {
+    for tm in 1..=shape.out_channels().min(dsp_budget) {
+        for tn in 1..=shape.in_channels().min(dsp_budget / tm) {
+            let Some((tr0, tc0)) = fit_spatial(shape, tm, tn, bram_budget) else {
+                continue;
+            };
+            for (tr, tc) in spatial_candidates(tr0, tc0) {
+                let t = Tiling::new(tm, tn, tr, tc);
+                if bram_usage(shape, &t) <= bram_budget {
+                    visit((t, standalone_cycles(shape, &t, bw)));
+                }
+            }
         }
     }
-    out
+}
+
+/// The order FNAS-Design prefers tilings in: fewer standalone cycles,
+/// then a smaller per-task compute time `ET`, then more DSPs, then a
+/// larger `Tm`.
+///
+/// Whole-plane tiles minimise ceil-rounding but serialise the pipeline (a
+/// consumer waits for full-plane OFM tiles). Among spatial tilings with
+/// the same standalone cycle count, smaller tiles give smaller per-task
+/// latency and hence smaller inter-layer start deltas (Eqs. 3/4), so they
+/// rank first.
+fn rank(
+    shape: &ConvShape,
+    &(t, cycles): &(Tiling, u64),
+) -> (u64, u64, Reverse<usize>, Reverse<usize>) {
+    let et = (shape.kernel_h() * shape.kernel_w() * t.tr * t.tc) as u64;
+    (cycles, et, Reverse(t.dsp_slices()), Reverse(t.tm))
+}
+
+/// Spatial-tiling refinement candidates derived from the BRAM-maximal
+/// `(tr0, tc0)`: the same extents at 1×, ½× and ¼× on each axis, `tr`
+/// outer and `tc` inner. An axis shorter than 2 (or 4) skips its ½× (or
+/// ¼×) step, so the at most nine pairs are distinct.
+fn spatial_candidates(tr0: usize, tc0: usize) -> impl Iterator<Item = (usize, usize)> {
+    let steps = |x: usize| {
+        let len = 1 + usize::from(x >= 2) + usize::from(x >= 4);
+        [x, x.div_ceil(2), x.div_ceil(4)].into_iter().take(len)
+    };
+    steps(tr0).flat_map(move |tr| steps(tc0).map(move |tc| (tr, tc)))
 }
 
 /// Largest `(Tr, Tc)` whose buffers fit `bram_budget`, shrinking the larger

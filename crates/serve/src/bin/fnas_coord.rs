@@ -24,13 +24,13 @@
 //! `--batch`/`--shards`/`--rounds` form the run fingerprint. Workers
 //! take none of them: each assignment carries the job's spec bytes.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use fnas::job::cli::{Args, JOB_USAGE};
+use fnas::job::cli::{emit, Args, JOB_USAGE};
 use fnas::job::JobSpec;
 use fnas::search::{BatchOptions, SearchConfig};
 use fnas_coord::{run_rounds_local, Clock, Journal, LeasePolicy, Request, Response, WallClock};
@@ -284,20 +284,6 @@ fn cmd_local(cli: &Cli) -> Result<String, String> {
     ))
 }
 
-/// Writes `msg` and a newline to `out`. A reader that closed the pipe
-/// early (`… | grep -q`) has what it wanted, so that is a success; any
-/// other write error is reported on stderr and fails the exit.
-fn emit(out: &mut impl Write, msg: &str) -> ExitCode {
-    match writeln!(out, "{msg}").and_then(|()| out.flush()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fnas-coord: writing stdout: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
@@ -325,7 +311,7 @@ fn main() -> ExitCode {
         }
     };
     match result {
-        Ok(msg) => emit(&mut io::stdout().lock(), &msg),
+        Ok(msg) => emit(&mut io::stdout(), "fnas-coord", &msg),
         Err(e) => {
             eprintln!("fnas-coord: {e}");
             ExitCode::FAILURE
@@ -426,30 +412,6 @@ mod tests {
         // serve without --listen fails at dispatch, not parse.
         let c = cli("--dir /tmp/x").unwrap();
         assert!(cmd_serve(&c).unwrap_err().contains("--listen"));
-    }
-
-    /// A stdout whose reader is gone, or that fails some other way.
-    struct Closed(io::ErrorKind);
-
-    impl Write for Closed {
-        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
-            Err(self.0.into())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn a_closed_stdout_is_a_clean_exit_and_other_write_errors_fail() {
-        let mut out = Vec::new();
-        assert_eq!(emit(&mut out, "3 settlements"), ExitCode::SUCCESS);
-        assert_eq!(out, b"3 settlements\n");
-        let broken = io::ErrorKind::BrokenPipe;
-        assert_eq!(emit(&mut Closed(broken), "x"), ExitCode::SUCCESS);
-        let full = io::ErrorKind::StorageFull;
-        assert_eq!(emit(&mut Closed(full), "x"), ExitCode::FAILURE);
     }
 
     #[test]

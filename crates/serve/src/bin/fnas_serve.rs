@@ -17,15 +17,17 @@
 //! `--device`) — the same flags in the same parser as every other bin,
 //! so the digest printed by `submit` is the digest `status` derives.
 //! `watch` polls `WatchProgress` until the job leaves the running
-//! state.
+//! state, or until its reader closes stdout (`watch … | head -n 1`
+//! exits 0).
 
+use std::io::{self, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fnas::job::cli::{Args, JOB_USAGE};
+use fnas::job::cli::{emit, write_line, Args, JOB_USAGE};
 use fnas::job::JobSpec;
 use fnas_coord::{
     Clock, LeasePolicy, Response, WallClock, JOB_STATE_CANCELLED, JOB_STATE_FINISHED,
@@ -202,12 +204,26 @@ fn cmd_status(cli: &Cli) -> Result<String, String> {
     }
 }
 
-fn cmd_watch(cli: &Cli) -> Result<String, String> {
+fn cmd_watch(cli: &Cli, out: &mut impl Write) -> Result<Option<String>, String> {
     let addr = cli.connect()?;
     let job = cli.job();
+    watch(out, Duration::from_millis(500), || {
+        watch_progress(addr, job).map_err(|e| e.to_string())
+    })
+}
+
+/// Writes each new progress line `poll` answers to `out`, polling every
+/// `period`, and returns the closing line once the job leaves the running
+/// state. `Ok(None)` when `out`'s reader has gone (`watch … | head -n 1`):
+/// no one is left to tell.
+fn watch(
+    out: &mut impl Write,
+    period: Duration,
+    mut poll: impl FnMut() -> Result<Response, String>,
+) -> Result<Option<String>, String> {
     let mut last = String::new();
     loop {
-        match watch_progress(addr, job).map_err(|e| e.to_string())? {
+        match poll()? {
             Response::JobInfo {
                 job,
                 state,
@@ -215,17 +231,19 @@ fn cmd_watch(cli: &Cli) -> Result<String, String> {
             } => {
                 let line = render_info(job, state, &progress);
                 if line != last {
-                    println!("{line}");
+                    if !write_line(out, &line).map_err(|e| format!("writing stdout: {e}"))? {
+                        return Ok(None);
+                    }
                     last = line;
                 }
                 if state != JOB_STATE_RUNNING {
-                    return Ok(format!("job {job:#018x} is {}", state_label(state)));
+                    return Ok(Some(format!("job {job:#018x} is {}", state_label(state))));
                 }
             }
             Response::Error { what } => return Err(what),
             other => return Err(format!("unexpected answer {other:?}")),
         }
-        std::thread::sleep(Duration::from_millis(500));
+        std::thread::sleep(period);
     }
 }
 
@@ -269,23 +287,22 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let mut out = io::stdout();
     let result = match cmd.as_str() {
-        "serve" => cmd_serve(&cli),
-        "submit" => cmd_submit(&cli),
-        "status" => cmd_status(&cli),
-        "watch" => cmd_watch(&cli),
-        "cancel" => cmd_cancel(&cli),
-        "jobs" => cmd_jobs(&cli),
+        "serve" => cmd_serve(&cli).map(Some),
+        "submit" => cmd_submit(&cli).map(Some),
+        "status" => cmd_status(&cli).map(Some),
+        "watch" => cmd_watch(&cli, &mut out),
+        "cancel" => cmd_cancel(&cli).map(Some),
+        "jobs" => cmd_jobs(&cli).map(Some),
         other => {
             eprintln!("fnas-serve: unknown command {other:?}\n{}", usage());
             return ExitCode::from(2);
         }
     };
     match result {
-        Ok(msg) => {
-            println!("{msg}");
-            ExitCode::SUCCESS
-        }
+        Ok(Some(msg)) => emit(&mut out, "fnas-serve", &msg),
+        Ok(None) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("fnas-serve: {e}");
             ExitCode::FAILURE
@@ -337,5 +354,44 @@ mod tests {
         let c = cli("").unwrap();
         assert!(cmd_serve(&c).unwrap_err().contains("--listen"));
         assert!(cmd_submit(&c).unwrap_err().contains("--connect"));
+    }
+
+    /// A stdout whose reader has gone.
+    struct Closed;
+
+    impl Write for Closed {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn watch_prints_new_lines_until_the_job_ends_or_the_reader_leaves() {
+        let info = |state| Response::JobInfo {
+            job: 7,
+            state,
+            progress: Vec::new(),
+        };
+        let mut answers = vec![
+            info(JOB_STATE_FINISHED),
+            info(JOB_STATE_RUNNING),
+            info(JOB_STATE_RUNNING),
+        ];
+        let mut out = Vec::new();
+        let end = watch(&mut out, Duration::ZERO, || Ok(answers.pop().unwrap()));
+        assert_eq!(
+            end,
+            Ok(Some("job 0x0000000000000007 is finished".to_string()))
+        );
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().count(), 2, "one line per change: {text:?}");
+
+        // A job that runs forever: a closed reader still ends the loop.
+        let running = || Ok(info(JOB_STATE_RUNNING));
+        assert_eq!(watch(&mut Closed, Duration::ZERO, running), Ok(None));
     }
 }

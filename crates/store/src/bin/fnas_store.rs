@@ -25,9 +25,10 @@
 #![forbid(unsafe_code)]
 
 use std::env;
+use std::io;
 use std::process::ExitCode;
 
-use fnas_cliutil::Args;
+use fnas_cliutil::{emit, Args};
 use fnas_store::DiskStore;
 
 const USAGE: &str = "usage:
@@ -68,33 +69,38 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     })
 }
 
-fn run(cli: &Cli) -> Result<ExitCode, String> {
+/// Runs the command: its report for stdout, and whether it passed.
+fn run(cli: &Cli) -> Result<(String, bool), String> {
     let store = DiskStore::open(&cli.dir).map_err(|err| format!("open {}: {err}", cli.dir))?;
     match cli.command.as_str() {
         "stat" => {
             let stat = store.stat().map_err(|err| format!("stat: {err}"))?;
-            println!(
-                "{}: {} records in {} packs, {} bytes, {} old-layout files",
-                cli.dir, stat.records, stat.packs, stat.bytes, stat.litter
-            );
-            println!(
-                "jobs: {} job dirs, {} artifacts, {} bytes",
-                stat.jobs, stat.artifacts, stat.artifact_bytes
-            );
+            let mut lines = vec![
+                format!(
+                    "{}: {} records in {} packs, {} bytes, {} old-layout files",
+                    cli.dir, stat.records, stat.packs, stat.bytes, stat.litter
+                ),
+                format!(
+                    "jobs: {} job dirs, {} artifacts, {} bytes",
+                    stat.jobs, stat.artifacts, stat.artifact_bytes
+                ),
+            ];
             for job in store.job_stats().map_err(|err| format!("stat: {err}"))? {
-                println!(
+                lines.push(format!(
                     "  job {:#018x}: {} artifacts, {} bytes",
                     job.job, job.files, job.bytes
-                );
+                ));
             }
-            Ok(ExitCode::SUCCESS)
+            Ok((lines.join("\n"), true))
         }
         "verify" => {
             let report = store.verify().map_err(|err| format!("verify: {err}"))?;
-            for path in &report.corrupt {
-                println!("corrupt: {}", path.display());
-            }
-            println!(
+            let mut lines: Vec<String> = report
+                .corrupt
+                .iter()
+                .map(|path| format!("corrupt: {}", path.display()))
+                .collect();
+            lines.push(format!(
                 "{}: {} valid frames, {} corrupt packs, {} torn-tail bytes, \
                  {} old-layout files — {}",
                 cli.dir,
@@ -103,31 +109,26 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
                 report.torn_bytes,
                 report.litter,
                 if report.is_ok() { "OK" } else { "FAILED" }
-            );
-            Ok(if report.is_ok() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            })
+            ));
+            Ok((lines.join("\n"), report.is_ok()))
         }
         "gc" => {
             let budget = cli.max_bytes.expect("validated in parse_args");
             let report = store.gc(budget).map_err(|err| format!("gc: {err}"))?;
-            println!(
+            let summary = format!(
                 "{}: evicted {} records, reclaimed {} bytes, removed {} old-layout files, \
-                 {} bytes remain",
+                 {} bytes remain\n\
+                 skipped {} job artifacts ({} bytes) — artifacts are owned by \
+                 their jobs, never gc'd",
                 cli.dir,
                 report.evicted,
                 report.reclaimed_bytes,
                 report.litter_removed,
-                report.remaining_bytes
+                report.remaining_bytes,
+                report.artifacts_skipped,
+                report.artifact_bytes_skipped
             );
-            println!(
-                "skipped {} job artifacts ({} bytes) — artifacts are owned by \
-                 their jobs, never gc'd",
-                report.artifacts_skipped, report.artifact_bytes_skipped
-            );
-            Ok(ExitCode::SUCCESS)
+            Ok((summary, true))
         }
         other => Err(format!("unknown command: {other}")),
     }
@@ -137,7 +138,14 @@ fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     match parse_args(&args) {
         Ok(cli) => match run(&cli) {
-            Ok(code) => code,
+            Ok((report, passed)) => {
+                let written = emit(&mut io::stdout(), "fnas-store", &report);
+                if passed {
+                    written
+                } else {
+                    ExitCode::FAILURE
+                }
+            }
             Err(err) => {
                 eprintln!("fnas-store: {err}");
                 ExitCode::FAILURE
